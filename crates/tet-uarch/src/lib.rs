@@ -57,7 +57,7 @@ pub use bpu::{Bpu, BpuConfig, Prediction};
 pub use config::{CpuConfig, ForwardPolicy, TimingConfig, VulnProfile};
 pub use frontend::FrontendTraceEntry;
 pub use machine::{
-    DeltaMarker, Machine, MachineSnapshot, MachineStats, RunConfig, RunDelta, RunResult,
+    DeltaMarker, Machine, MachineSnapshot, MachineStats, RunConfig, RunDelta, RunResult, SimOptions,
 };
 pub use smt::{SmtMachine, SmtRunResult};
 pub use template::{ProgramTemplate, UopMeta};

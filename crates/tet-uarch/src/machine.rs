@@ -239,15 +239,9 @@ pub struct Machine {
     frames: FrameAlloc,
     code_pages_mapped: usize,
     check_mode: bool,
-    /// Journal-driven delta restore (DESIGN.md §16). Defaults from
-    /// `TET_DELTA` (`0` disables); restored state is identical either
-    /// way — the exhaustive path is kept as the differential reference.
-    delta_enabled: bool,
-    /// Event-driven fast-forward across idle cycles (DESIGN.md §11).
-    /// Defaults from `TET_FF` (`0` disables); cycle counts and PMU
-    /// values are identical either way. Automatically bypassed for runs
-    /// with a structured-event sink, which need per-cycle emission.
-    ff_enabled: bool,
+    /// Which hot-path fast paths this machine takes (see
+    /// [`SimOptions`]).
+    options: SimOptions,
     /// Lifetime run count (diagnostic, survives snapshot restore).
     runs: u64,
     /// Lifetime simulated cycles across runs (diagnostic).
@@ -265,6 +259,51 @@ pub struct Machine {
     /// Countdown to the next timed fast-forward attempt.
     prof_ff_tick: u32,
     ctx: RunCtx,
+}
+
+/// The simulator's hot-path fast paths, chosen per [`Machine`].
+///
+/// Every fast path produces the same simulated results as its
+/// reference path — registers, cycles and PMU counters — and the
+/// reference paths are kept so tests can check that differentially in
+/// one process. [`SimOptions::default`] turns all three on;
+/// [`SimOptions::reference`] turns all three off. Nothing reads the
+/// environment: a run's options are part of its inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimOptions {
+    /// Event-driven fast-forward across idle cycles (DESIGN.md §11).
+    /// Only the `ff_skipped_cycles`/`ff_sprints` diagnostics differ
+    /// when it is off. Bypassed for runs with a structured-event sink,
+    /// which need per-cycle emission.
+    pub fast_forward: bool,
+    /// Divergence-aware trial batching of decode sweeps (DESIGN.md §13).
+    /// The machine only carries the choice; `whisper::batch` reads it.
+    pub batch: bool,
+    /// Journal-driven delta restore (DESIGN.md §16); off, every restore
+    /// copies each structure exhaustively.
+    pub delta_restore: bool,
+}
+
+impl Default for SimOptions {
+    fn default() -> Self {
+        SimOptions {
+            fast_forward: true,
+            batch: true,
+            delta_restore: true,
+        }
+    }
+}
+
+impl SimOptions {
+    /// All fast paths off: the reference paths the fast ones are
+    /// checked against.
+    pub const fn reference() -> Self {
+        SimOptions {
+            fast_forward: false,
+            batch: false,
+            delta_restore: false,
+        }
+    }
 }
 
 /// A point-in-time copy of a [`Machine`]'s complete state —
@@ -354,30 +393,6 @@ pub struct RunDelta {
     pub pmu: PmuSnapshot,
 }
 
-/// Process-wide fast-forward default: `TET_FF=0` (or `false`/`off`; see
-/// [`tet_obs::env_flag`]) turns it off.
-fn ff_default() -> bool {
-    static FF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FF.get_or_init(|| tet_obs::env_flag("TET_FF", true))
-}
-
-/// Process-wide µop-template *caching* default: `TET_PREDECODE=0` turns
-/// the cross-run cache off (a fresh template is still built per run —
-/// the pipeline always consumes templates, so results are identical by
-/// construction; only the build work repeats).
-fn predecode_default() -> bool {
-    static PD: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PD.get_or_init(|| tet_obs::env_flag("TET_PREDECODE", true))
-}
-
-/// Process-wide delta-restore default: `TET_DELTA=0` keeps snapshot
-/// restores on the exhaustive field-by-field copy (the differential
-/// reference for the journal-driven path; see DESIGN.md §16).
-fn delta_default() -> bool {
-    static DR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DR.get_or_init(|| tet_obs::env_flag("TET_DELTA", true))
-}
-
 /// Reusable per-run scratch state: everything [`Machine::run`] would
 /// otherwise allocate afresh on every call. Attack loops call `run`
 /// hundreds of thousands of times on the same machine, so the PMU
@@ -391,8 +406,7 @@ struct RunCtx {
     /// run so only a *different* program pays a clone.
     check_program: Option<Arc<Program>>,
     /// Pre-decoded µop template, content-compared per run so only a
-    /// *different* program pays a re-crack (see
-    /// [`ProgramTemplate`]); disabled by `TET_PREDECODE=0`.
+    /// *different* program pays a re-crack (see [`ProgramTemplate`]).
     template: Option<Arc<ProgramTemplate>>,
     /// Drained trace recorder recycled across trace-enabled runs.
     recorder: Option<Arc<MemorySink>>,
@@ -436,14 +450,8 @@ impl RunCtx {
     }
 
     /// The pre-decoded template for `program`, re-cracked only when the
-    /// program contents differ from the cached one. With
-    /// `TET_PREDECODE=0` the cache is bypassed and every run rebuilds —
-    /// the same single code path the cached run takes, so behaviour is
-    /// identical by construction.
+    /// program contents differ from the cached one.
     fn template(&mut self, program: &Program) -> Arc<ProgramTemplate> {
-        if !predecode_default() {
-            return Arc::new(ProgramTemplate::build(program));
-        }
         match &self.template {
             Some(t) if *t.program() == *program => t.clone(),
             _ => {
@@ -467,8 +475,7 @@ impl Machine {
             frames: FrameAlloc::starting_at(0x1000),
             code_pages_mapped: 0,
             check_mode: false,
-            delta_enabled: delta_default(),
-            ff_enabled: ff_default(),
+            options: SimOptions::default(),
             runs: 0,
             cycles_total: 0,
             snap_restores: 0,
@@ -489,29 +496,16 @@ impl Machine {
         self.prof_ff_tick = 0;
     }
 
-    /// Forces event-driven fast-forward on or off for this machine,
-    /// overriding the `TET_FF` process default — the hook differential
-    /// tests use to prove skipping is cycle-exact.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.ff_enabled = on;
+    /// Chooses this machine's fast paths. Snapshots carry the options
+    /// of the machine they were taken from; [`Machine::restore`] keeps
+    /// the destination's.
+    pub fn set_options(&mut self, options: SimOptions) {
+        self.options = options;
     }
 
-    /// Whether this machine fast-forwards idle cycles.
-    pub fn fast_forward(&self) -> bool {
-        self.ff_enabled
-    }
-
-    /// Forces journal-driven delta restore on or off for this machine,
-    /// overriding the `TET_DELTA` process default — the hook the
-    /// differential tests use to prove both restore paths rebuild
-    /// byte-identical state.
-    pub fn set_delta_restore(&mut self, on: bool) {
-        self.delta_enabled = on;
-    }
-
-    /// Whether this machine restores snapshots via touched-set journals.
-    pub fn delta_restore(&self) -> bool {
-        self.delta_enabled
+    /// This machine's fast paths.
+    pub fn options(&self) -> SimOptions {
+        self.options
     }
 
     /// Seals every journaled structure (predictor tables, µop cache,
@@ -542,9 +536,9 @@ impl Machine {
     /// fork-per-trial loops, which restore hundreds of thousands of
     /// times from one warmed-up snapshot.
     ///
-    /// Lifetime diagnostics ([`Machine::stats`]) and the fast-forward
-    /// setting are deliberately *not* rolled back: they describe this
-    /// machine, not the snapshot.
+    /// Lifetime diagnostics ([`Machine::stats`]) and the [`SimOptions`]
+    /// are deliberately *not* rolled back: they describe this machine,
+    /// not the snapshot.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         let Machine {
             cpu,
@@ -554,8 +548,7 @@ impl Machine {
             frames,
             code_pages_mapped,
             check_mode,
-            delta_enabled: _,
-            ff_enabled: _,
+            options: _,
             runs: _,
             cycles_total: _,
             snap_restores: _,
@@ -567,7 +560,7 @@ impl Machine {
         // Restores are rare relative to steps and bracket real work, so
         // they are always timed exactly (never sampled).
         let t = self.prof.enabled().then(std::time::Instant::now);
-        if self.delta_enabled {
+        if self.options.delta_restore {
             // Journal-driven: each structure repairs only the slots it
             // journaled since the shared seal, falling back to the
             // exhaustive copy when no seal is shared (e.g. the first
@@ -906,7 +899,7 @@ impl Machine {
 
         // Fast-forward requires per-cycle events to be off: skipped
         // cycles emit nothing, so trace-enabled runs step every cycle.
-        let fast_forward = self.ff_enabled && !self.cpu.sink().enabled();
+        let fast_forward = self.options.fast_forward && !self.cpu.sink().enabled();
 
         // Resolve the pre-decoded µop template once per run; the
         // pipeline stages instantiate µops from it instead of

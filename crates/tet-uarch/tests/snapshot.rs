@@ -20,7 +20,7 @@
 use proptest::test_runner::TestRng;
 use tet_check::gen::{self, layout, GenConfig};
 use tet_isa::{Inst, Reg};
-use tet_uarch::{CpuConfig, Machine, RunConfig, RunResult};
+use tet_uarch::{CpuConfig, Machine, RunConfig, RunResult, SimOptions};
 
 const MAX_CYCLES: u64 = 5_000;
 
@@ -116,8 +116,8 @@ fn snapshot_restore_run_matches_live_run() {
 }
 
 /// **delta ≡ full ≡ fresh**: a journal-driven delta restore
-/// ([`Machine::set_delta_restore`] on, DESIGN.md §16), an exhaustive
-/// field-by-field restore (delta off — the differential reference), and
+/// ([`SimOptions::default`], DESIGN.md §16), an exhaustive
+/// field-by-field restore ([`SimOptions::reference`]), and
 /// a fresh [`Machine::from_snapshot`] must all rebuild the same state,
 /// pinned by bit-identical re-runs of the snapshotted program. The
 /// delta machine restores *twice* per case — the first restore from a
@@ -132,9 +132,9 @@ fn delta_full_and_fresh_restores_are_equivalent() {
         // Long-lived machines, like a trial loop: every restore lands on
         // the previous case's leftover state and journals.
         let mut via_delta = machine_for(preset.clone(), 0xde17a + pi as u64);
-        via_delta.set_delta_restore(true);
+        via_delta.set_options(SimOptions::default());
         let mut via_full = machine_for(preset.clone(), 0xf011 + pi as u64);
-        via_full.set_delta_restore(false);
+        via_full.set_options(SimOptions::reference());
         for case in 0..cases {
             let insts = gen::gen_program(&mut rng, &gen_cfg);
             let program = gen::to_program(&insts);
@@ -212,11 +212,11 @@ fn fast_forward_is_cycle_exact() {
             let seed = (pi as u64) << 32 | case as u64;
 
             let mut slow = machine_for(preset.clone(), seed);
-            slow.set_fast_forward(false);
+            slow.set_options(SimOptions::reference());
             let want = fingerprint(&slow.run(&program, &run_cfg()));
 
             let mut fast = machine_for(preset.clone(), seed);
-            fast.set_fast_forward(true);
+            fast.set_options(SimOptions::default());
             let got = fingerprint(&fast.run(&program, &run_cfg()));
             assert_eq!(
                 got,

@@ -71,6 +71,11 @@ pub fn bench_core_gates() -> Vec<Gate> {
             direction: Direction::LowerIsBetter,
             min_ratio: 0.7,
         },
+        Gate {
+            key: "snapshot_fork.simulate_ns",
+            direction: Direction::LowerIsBetter,
+            min_ratio: 0.7,
+        },
     ]
 }
 
@@ -201,6 +206,7 @@ mod tests {
             r.scalar("decode_sweep.ns_per_uop", ns / 10.0);
             r.scalar("snapshot_fork.ns_per_trial", ns * 50.0);
             r.scalar("snapshot_fork.restore_ns", ns * 5.0);
+            r.scalar("snapshot_fork.simulate_ns", ns * 45.0);
         }
         r
     }
@@ -234,6 +240,33 @@ mod tests {
         assert!(line.contains("1000000000"), "{line}");
         assert!(line.contains("100000000"), "{line}");
         assert!(line.contains("floor 70%"), "{line}");
+    }
+
+    /// Every `snapshot_fork.*_ns` leg `bench_core` writes is gated here
+    /// in the direction `bench_trend` gives it. The one exception is
+    /// `snapshot_fork.warmup_ns`, which `trend::direction_for` leaves
+    /// undirected on purpose (warm-up is paid once per campaign).
+    #[test]
+    fn every_snapshot_fork_leg_bench_core_writes_is_gated() {
+        let gates = bench_core_gates();
+        let keys: Vec<&str> = include_str!("bin/bench_core.rs")
+            .split('"')
+            .filter(|k| k.starts_with("snapshot_fork.") && k.ends_with("_ns"))
+            .collect();
+        assert!(keys.len() >= 3, "bench_core legs not found: {keys:?}");
+        for key in keys {
+            match crate::trend::direction_for(key) {
+                Some(direction) => {
+                    let gate = gates
+                        .iter()
+                        .find(|g| g.key == key)
+                        .unwrap_or_else(|| panic!("{key} is written but not gated"));
+                    assert_eq!(gate.direction, direction, "{key}");
+                    assert_eq!(gate.min_ratio, 0.7, "{key}");
+                }
+                None => assert_eq!(key, "snapshot_fork.warmup_ns", "{key} is undirected"),
+            }
+        }
     }
 
     #[test]

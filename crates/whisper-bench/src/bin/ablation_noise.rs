@@ -23,7 +23,7 @@ fn payload(len: usize) -> Vec<u8> {
 }
 
 fn run(interrupt_period: u64, batches: u32, bytes: usize) -> f64 {
-    let mut sc = Scenario::new(
+    let sc = Scenario::new(
         CpuConfig::kaby_lake_i7_7700(),
         &ScenarioOptions {
             interrupt_period,
@@ -31,7 +31,7 @@ fn run(interrupt_period: u64, batches: u32, bytes: usize) -> f64 {
         },
     );
     TetCovertChannel::new(batches)
-        .transmit(&mut sc, &payload(bytes))
+        .transmit(&sc, &payload(bytes))
         .error_rate
 }
 

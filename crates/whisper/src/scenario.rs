@@ -2,7 +2,7 @@
 //! secrets + noise.
 
 use tet_os::{ContainerEnv, Kernel, KernelConfig};
-use tet_uarch::{CpuConfig, Machine};
+use tet_uarch::{CpuConfig, Machine, SimOptions};
 
 /// Options for building a [`Scenario`].
 #[derive(Debug, Clone)]
@@ -22,6 +22,9 @@ pub struct ScenarioOptions {
     pub interrupt_period: u64,
     /// The container environment (bare metal by default).
     pub container: ContainerEnv,
+    /// The machine's fast paths; [`SimOptions::reference`] runs the
+    /// same scenario on the reference paths.
+    pub sim: SimOptions,
 }
 
 impl Default for ScenarioOptions {
@@ -34,6 +37,7 @@ impl Default for ScenarioOptions {
             flare: false,
             interrupt_period: 0,
             container: ContainerEnv::bare_metal(),
+            sim: SimOptions::default(),
         }
     }
 }
@@ -74,6 +78,7 @@ impl Scenario {
         let mut cfg = cpu;
         cfg.timing.interrupt_period = opts.interrupt_period;
         let mut machine = Machine::new(cfg, opts.seed);
+        machine.set_options(opts.sim);
 
         // Install the kernel into the attacker-visible address space.
         let kernel = {

@@ -2,11 +2,10 @@
 //! identical to unbatched (all-live) trials, serially and under the
 //! thread pool at 1 and 8 workers (DESIGN.md §13).
 //!
-//! `TET_BATCH` is a process-wide switch, so the unbatched arm inside one
-//! process is a hintless [`ProbeMemo`] — by construction it never skips,
-//! which is exactly the `TET_BATCH=0` behaviour per probe. (The
-//! cross-*process* check — diffing experiment stdout across
-//! `TET_PREDECODE=0/1` × `TET_BATCH=0/1` — lives in CI.)
+//! The unbatched arm is a machine whose [`SimOptions::batch`] is off:
+//! it gets the same match hint as the batched arm, and its memo must
+//! run every probe live. (The whole Table 2 matrix under both settings
+//! is `tests/sim_options.rs`.)
 //!
 //! "Byte-and-cycle identical" is asserted on the strongest observable
 //! surface the machine exposes: every per-probe `(ToTE, cycles)` result,
@@ -16,7 +15,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use tet_uarch::{CpuConfig, Machine, RunDelta};
+use tet_uarch::{CpuConfig, Machine, RunDelta, SimOptions};
 use whisper::batch::{batch_enabled, FixedRec, ProbeMemo, VERIFY_EVERY};
 use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
 use whisper::scenario::{Scenario, ScenarioOptions, STACK_TOP};
@@ -28,6 +27,14 @@ type ProbeResult = Option<(u64, u64)>;
 /// One trial's observable surface: every probe result plus the
 /// machine's counter movement over the whole sweep.
 type TrialOutcome = (Vec<ProbeResult>, RunDelta);
+
+/// The default fast paths with trial batching off: the unbatched arm.
+fn unbatched() -> SimOptions {
+    SimOptions {
+        batch: false,
+        ..SimOptions::default()
+    }
+}
 
 /// One full 0..=255 sweep (×`batches`) through a probe memo. Returns
 /// every probe result, the machine's counter movement over the sweep,
@@ -59,8 +66,8 @@ where
 }
 
 /// Runs the batched-vs-unbatched comparison for one gadget closure on
-/// twin warmed machines. `hint` must be the gadget's match hint on the
-/// (shared) warmed state.
+/// twin warmed machines, the second with batching off. `hint` must be
+/// the gadget's match hint on the (shared) warmed state.
 fn assert_batched_equals_unbatched<F>(
     label: &str,
     batched_machine: &mut Machine,
@@ -71,10 +78,14 @@ fn assert_batched_equals_unbatched<F>(
     F: Fn(&mut Machine, u64) -> Option<(u64, u64)>,
 {
     assert!(hint.is_some(), "{label}: gadget must predict a match hint");
+    assert!(
+        !batch_enabled(live_machine),
+        "{label}: batching must be off on the unbatched machine"
+    );
     let total = 2 * 256u32;
     let (fast, fast_delta, fast_live, established) = sweep(batched_machine, hint, 2, &f);
-    let (slow, slow_delta, slow_live, _) = sweep(live_machine, None, 2, &f);
-    assert_eq!(slow_live, total, "{label}: hintless memo must never skip");
+    let (slow, slow_delta, slow_live, _) = sweep(live_machine, hint, 2, &f);
+    assert_eq!(slow_live, total, "{label}: unbatched memo must never skip");
     assert_eq!(fast, slow, "{label}: per-probe results must be identical");
     assert_eq!(
         fast_delta, slow_delta,
@@ -99,11 +110,16 @@ fn assert_batched_equals_unbatched<F>(
     }
 }
 
-/// Twin scenarios: identical config, options and seed, so the two
-/// machines are bit-for-bit the same starting state.
+/// Twin scenarios: identical config and seed, so the two machines are
+/// bit-for-bit the same starting state; only the second has batching
+/// off.
 fn twins(cfg: CpuConfig) -> (Scenario, Scenario) {
     let opts = ScenarioOptions::default();
-    (Scenario::new(cfg.clone(), &opts), Scenario::new(cfg, &opts))
+    let off = ScenarioOptions {
+        sim: unbatched(),
+        ..ScenarioOptions::default()
+    };
+    (Scenario::new(cfg.clone(), &opts), Scenario::new(cfg, &off))
 }
 
 /// TET-MD shape: jitter-free fixed point (the probed line is cache
@@ -177,15 +193,19 @@ fn batched_fanout_equals_unbatched_at_threads_1_and_8() {
         tet_par::run_indexed_with(
             threads,
             TRIALS,
-            || Machine::from_snapshot(&snap),
+            || {
+                let mut m = Machine::from_snapshot(&snap);
+                if !batched {
+                    m.set_options(unbatched());
+                    assert!(!batch_enabled(&m), "batching must be off");
+                }
+                m
+            },
             |m, _i| {
                 m.restore(&snap);
-                let (out, delta, live, _) =
-                    sweep(m, if batched { hint } else { None }, 1, |m, t| {
-                        gadget.measure_detailed(m, t)
-                    });
+                let (out, delta, live, _) = sweep(m, hint, 1, |m, t| gadget.measure_detailed(m, t));
                 if !batched {
-                    assert_eq!(live, 256, "hintless trial must run fully live");
+                    assert_eq!(live, 256, "unbatched trial must run fully live");
                 }
                 (out, delta)
             },
@@ -268,16 +288,20 @@ fn seeded_sibling_fanout_equals_unbatched_at_threads_1_and_8() {
         )
     };
 
-    // Serial all-live reference (hintless memos never skip).
+    // Serial all-live reference on unbatched machines.
     let reference: Vec<TrialOutcome> = tet_par::run_indexed_with(
         1,
         TRIALS,
-        || Machine::from_snapshot(&snap),
+        || {
+            let mut m = Machine::from_snapshot(&snap);
+            m.set_options(unbatched());
+            m
+        },
         |m, _i| {
             m.restore(&snap);
             let (out, delta, live, _) =
-                sweep(m, None, BATCHES, |m, t| gadget.measure_detailed(m, t));
-            assert_eq!(live, 256 * BATCHES, "hintless trial must run fully live");
+                sweep(m, hint, BATCHES, |m, t| gadget.measure_detailed(m, t));
+            assert_eq!(live, 256 * BATCHES, "unbatched trial must run fully live");
             (out, delta)
         },
     );
@@ -292,7 +316,7 @@ fn seeded_sibling_fanout_equals_unbatched_at_threads_1_and_8() {
     }
 }
 
-/// The `TET_DELTA` differential on the seeded-sibling fan-out: worker
+/// The delta-restore differential on the seeded-sibling fan-out: worker
 /// machines restoring the shared snapshot through the journal-driven
 /// delta path (DESIGN.md §16) must produce byte-and-cycle identical
 /// per-probe results and counter movement to workers using the
@@ -322,7 +346,10 @@ fn seeded_sibling_fanout_is_delta_restore_invariant() {
             TRIALS,
             || {
                 let mut m = Machine::from_snapshot(&snap);
-                m.set_delta_restore(delta_on);
+                m.set_options(SimOptions {
+                    delta_restore: delta_on,
+                    ..SimOptions::default()
+                });
                 (m, Arc::clone(&fixed))
             },
             |(m, fixed), _i| {

@@ -27,9 +27,9 @@ fn meltdown_leaks_a_full_message_under_noise() {
 
 #[test]
 fn covert_channel_roundtrips_binary_data() {
-    let mut sc = Scenario::new(CpuConfig::skylake_i7_6700(), &ScenarioOptions::default());
+    let sc = Scenario::new(CpuConfig::skylake_i7_6700(), &ScenarioOptions::default());
     let payload: Vec<u8> = (0..24).map(|i| (i * 37 + 11) as u8).collect();
-    let report = TetCovertChannel::new(2).transmit(&mut sc, &payload);
+    let report = TetCovertChannel::new(2).transmit(&sc, &payload);
     assert_eq!(report.received, payload);
     assert_eq!(report.error_rate, 0.0);
 }
