@@ -6,14 +6,9 @@
 //! allocation, no virtual call, no formatting.
 //!
 //! When enabled, events flow through the object-safe [`TraceSink`] trait.
-//! Three implementations cover the common shapes:
-//!
-//! * [`RingSink`] — fixed-capacity lock-free ring that keeps the most
-//!   recent events (flight-recorder style, safe to leave attached for
-//!   millions of cycles);
-//! * [`MemorySink`] — unbounded mutex-guarded vector (the per-run recorder
-//!   `Machine` installs when full traces are requested);
-//! * [`FanoutSink`] — tees one stream into several sinks.
+//! [`MemorySink`] — an unbounded mutex-guarded vector — is the recorder a
+//! caller attaches to a run (through `tet_uarch::RunConfig::sink`) and
+//! drains afterwards; callers with other needs implement [`TraceSink`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,136 +23,12 @@ pub trait TraceSink {
     fn emit(&self, ev: TraceEvent);
 }
 
-/// A sink that discards everything (useful as an explicit placeholder).
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn emit(&self, _ev: TraceEvent) {}
-}
-
-// ---------------------------------------------------------------------------
-// RingSink
-// ---------------------------------------------------------------------------
-
-/// One slot of the ring. The sequence field makes torn reads detectable:
-/// a writer stamps `seq = 0` (in progress), writes the payload, then stamps
-/// `seq = position + 1` with release ordering.
-struct Slot {
-    seq: AtomicU64,
-    ev: std::cell::UnsafeCell<TraceEvent>,
-}
-
-/// A fixed-capacity, lock-free, overwrite-oldest event ring.
-///
-/// Writers never block and never allocate: a slot index is claimed with one
-/// `fetch_add`, the payload is written, and a per-slot sequence number is
-/// published with release ordering. When the ring wraps, the oldest events
-/// are overwritten — the ring always holds the *most recent* window, which
-/// is what you want from a flight recorder attached to a long run.
-///
-/// `drain_recent` is intended to be called after the producing run has
-/// quiesced; if called concurrently with writers it skips slots it observes
-/// mid-write instead of returning torn data.
-pub struct RingSink {
-    mask: u64,
-    head: AtomicU64,
-    dropped: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-// SAFETY: slot payloads are `Copy` plain-old-data; the per-slot sequence
-// protocol (seq=0 while writing, seq=pos+1 once published, checked again
-// after the read) means readers never *return* a torn event, and writers
-// never read payloads at all.
-unsafe impl Send for RingSink {}
-unsafe impl Sync for RingSink {}
-
-impl RingSink {
-    /// Creates a ring holding up to `capacity` events (rounded up to a
-    /// power of two, minimum 64).
-    pub fn with_capacity(capacity: usize) -> RingSink {
-        let cap = capacity.max(64).next_power_of_two() as u64;
-        let slots = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                ev: std::cell::UnsafeCell::new(TraceEvent {
-                    cycle: 0,
-                    thread: 0,
-                    kind: EventKind::UopRetired { id: 0 },
-                }),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        RingSink {
-            mask: cap - 1,
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots,
-        }
-    }
-
-    /// Number of events ever emitted into this ring.
-    pub fn emitted(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Number of events that have been overwritten (lost to wrap-around).
-    pub fn overwritten(&self) -> u64 {
-        let head = self.head.load(Ordering::Acquire);
-        head.saturating_sub(self.slots.len() as u64) + self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Copies out the most recent events, oldest first.
-    ///
-    /// Call after the producer has quiesced; concurrent writes cause the
-    /// affected slots to be skipped, never returned torn.
-    pub fn drain_recent(&self) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for pos in start..head {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq_before = slot.seq.load(Ordering::Acquire);
-            if seq_before != pos + 1 {
-                continue; // Overwritten by a newer event, or mid-write.
-            }
-            // SAFETY: payload is Copy POD; a torn copy is discarded below
-            // when the sequence check fails.
-            let ev = unsafe { *slot.ev.get() };
-            if slot.seq.load(Ordering::Acquire) == pos + 1 {
-                out.push(ev);
-            }
-        }
-        out
-    }
-}
-
-impl TraceSink for RingSink {
-    #[inline]
-    fn emit(&self, ev: TraceEvent) {
-        let pos = self.head.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(pos & self.mask) as usize];
-        slot.seq.store(0, Ordering::Release);
-        // SAFETY: we own this slot for the duration between the two seq
-        // stores; a concurrent writer that laps us will restamp seq itself,
-        // and readers reject slots whose seq doesn't match the expected
-        // position.
-        unsafe {
-            *slot.ev.get() = ev;
-        }
-        slot.seq.store(pos + 1, Ordering::Release);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // MemorySink
 // ---------------------------------------------------------------------------
 
-/// An unbounded in-memory sink. This is the per-run recorder used when a
-/// caller asks for full traces; it trades a mutex per event for losslessness.
+/// An unbounded in-memory sink: the recorder a caller attaches to a run
+/// and drains afterwards. It trades a mutex per event for losslessness.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
@@ -194,31 +65,6 @@ impl TraceSink for MemorySink {
     #[inline]
     fn emit(&self, ev: TraceEvent) {
         self.events.lock().expect("trace sink poisoned").push(ev);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FanoutSink
-// ---------------------------------------------------------------------------
-
-/// Tees one event stream into several sinks.
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn TraceSink + Send + Sync>>,
-}
-
-impl FanoutSink {
-    /// Builds a fanout over the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink + Send + Sync>>) -> FanoutSink {
-        FanoutSink { sinks }
-    }
-}
-
-impl TraceSink for FanoutSink {
-    #[inline]
-    fn emit(&self, ev: TraceEvent) {
-        for s in &self.sinks {
-            s.emit(ev);
-        }
     }
 }
 
@@ -291,12 +137,6 @@ impl SinkHandle {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.core.is_some()
-    }
-
-    /// The underlying sink, if attached — used to compose a user-supplied
-    /// sink with an internal recorder via [`FanoutSink`].
-    pub fn sink_arc(&self) -> Option<Arc<dyn TraceSink + Send + Sync>> {
-        self.core.as_ref().map(|c| c.sink.clone())
     }
 
     /// Advances the shared trace clock. Called by the core once per cycle.
@@ -387,59 +227,5 @@ mod tests {
         let evs = sink.drain();
         assert_eq!(evs[0].cycle, 42, "clock is shared");
         assert_eq!(evs[0].thread, 1, "thread tag differs");
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_window() {
-        let ring = RingSink::with_capacity(64);
-        for i in 0..200u64 {
-            ring.emit(TraceEvent {
-                cycle: i,
-                thread: 0,
-                kind: ev(i),
-            });
-        }
-        let evs = ring.drain_recent();
-        assert_eq!(evs.len(), 64);
-        assert_eq!(evs.first().map(|e| e.cycle), Some(136));
-        assert_eq!(evs.last().map(|e| e.cycle), Some(199));
-        assert_eq!(ring.emitted(), 200);
-        assert_eq!(ring.overwritten(), 136);
-    }
-
-    #[test]
-    fn ring_survives_concurrent_writers() {
-        let ring = Arc::new(RingSink::with_capacity(256));
-        let mut handles = Vec::new();
-        for t in 0..4u8 {
-            let r = ring.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000u64 {
-                    r.emit(TraceEvent {
-                        cycle: i,
-                        thread: t,
-                        kind: ev(i),
-                    });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("writer thread");
-        }
-        assert_eq!(ring.emitted(), 4000);
-        let evs = ring.drain_recent();
-        assert!(evs.len() <= 256);
-        assert!(!evs.is_empty());
-    }
-
-    #[test]
-    fn fanout_tees_to_all_sinks() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        let h = SinkHandle::attached(Arc::new(fan));
-        h.emit(ev(9));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

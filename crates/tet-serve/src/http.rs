@@ -13,11 +13,19 @@
 //! deterministic simulator campaigns on localhost, not the open
 //! internet.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on a request body, so a stray client cannot balloon the
 /// server's memory.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Upper bound on one line of the request head (the request line or one
+/// header, terminator included), so a client cannot grow a line without
+/// limit.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Upper bound on the number of headers in one request.
+pub const MAX_HEADERS: usize = 100;
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -46,6 +54,23 @@ pub enum ReadOutcome {
     /// The read timed out while waiting for the *start* of the next
     /// request — the keep-alive connection went idle. Not an error.
     IdleTimeout,
+}
+
+/// Reads one line of the request head into `line`, at most
+/// [`MAX_LINE_BYTES`] bytes of it; returns the bytes read like
+/// `read_line`.
+fn read_head_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<usize> {
+    Read::take(reader, MAX_LINE_BYTES as u64).read_line(line)
+}
+
+/// The error for a head line that stopped before its `\n` after `n`
+/// bytes: either it hit [`MAX_LINE_BYTES`] or EOF cut it short.
+fn unterminated(what: &str, n: usize) -> String {
+    if n >= MAX_LINE_BYTES {
+        format!("{what} exceeds the {MAX_LINE_BYTES}-byte limit")
+    } else {
+        format!("truncated {what} (EOF mid-line)")
+    }
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -82,14 +107,14 @@ impl Request {
     /// [`ReadOutcome::IdleTimeout`]); EOF or timeout *mid-request* is a
     /// truncated request and comes back as an error — the caller must
     /// close without serving a response body it cannot trust. Other
-    /// errors are one-line protocol diagnostics (answered 400).
+    /// errors are one-line protocol diagnostics (answered 400), among
+    /// them a head line longer than [`MAX_LINE_BYTES`] and more than
+    /// [`MAX_HEADERS`] headers.
     pub fn read_from(reader: &mut impl BufRead) -> Result<ReadOutcome, String> {
         let mut line = String::new();
-        match reader.read_line(&mut line) {
+        match read_head_line(reader, &mut line) {
             Ok(0) => return Ok(ReadOutcome::Closed),
-            Ok(_) if !line.ends_with('\n') => {
-                return Err("truncated request line (EOF mid-line)".to_string());
-            }
+            Ok(n) if !line.ends_with('\n') => return Err(unterminated("request line", n)),
             Ok(_) => {}
             Err(e) if is_timeout(&e) && line.is_empty() => return Ok(ReadOutcome::IdleTimeout),
             Err(e) => return Err(format!("read request line: {e}")),
@@ -109,11 +134,9 @@ impl Request {
         let mut headers = Vec::new();
         loop {
             let mut hline = String::new();
-            match reader.read_line(&mut hline) {
+            match read_head_line(reader, &mut hline) {
                 Ok(0) => return Err("truncated headers (EOF before blank line)".to_string()),
-                Ok(_) if !hline.ends_with('\n') => {
-                    return Err("truncated header line (EOF mid-line)".to_string());
-                }
+                Ok(n) if !hline.ends_with('\n') => return Err(unterminated("header line", n)),
                 Ok(_) => {}
                 Err(e) => return Err(format!("read header: {e}")),
             }
@@ -124,6 +147,9 @@ impl Request {
             let (name, value) = hline
                 .split_once(':')
                 .ok_or_else(|| format!("malformed header {hline:?}"))?;
+            if headers.len() == MAX_HEADERS {
+                return Err(format!("more than {MAX_HEADERS} headers"));
+            }
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
 
@@ -297,6 +323,59 @@ mod tests {
         assert!(parse_raw("GET /v1/heal").is_err());
         assert!(parse_raw("GET / HTTP/1.1\r\nHost: x\r\n").is_err());
         assert!(parse_raw("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"a\"").is_err());
+    }
+
+    /// Parses one request from an in-memory buffer.
+    fn parse_bytes(raw: &str) -> Result<Request, String> {
+        match Request::read_from(&mut raw.as_bytes())? {
+            ReadOutcome::Request(r) => Ok(r),
+            other => Err(format!("expected a request, got {other:?}")),
+        }
+    }
+
+    /// A `name: value` header line exactly `len` bytes long with its CRLF.
+    fn header_line(name: &str, len: usize) -> String {
+        let pad = len - name.len() - ": \r\n".len();
+        format!("{name}: {}\r\n", "v".repeat(pad))
+    }
+
+    #[test]
+    fn over_long_request_line_is_rejected() {
+        let target = "a".repeat(MAX_LINE_BYTES);
+        let err = parse_bytes(&format!("GET /{target} HTTP/1.1\r\n\r\n")).unwrap_err();
+        assert!(err.contains("request line exceeds"), "{err}");
+    }
+
+    #[test]
+    fn over_long_header_is_rejected() {
+        let raw = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            header_line("x", MAX_LINE_BYTES + 1)
+        );
+        let err = parse_bytes(&raw).unwrap_err();
+        assert!(err.contains("header line exceeds"), "{err}");
+    }
+
+    #[test]
+    fn too_many_headers_are_rejected() {
+        let headers: String = (0..=MAX_HEADERS).map(|i| format!("h{i}: x\r\n")).collect();
+        let err = parse_bytes(&format!("GET / HTTP/1.1\r\n{headers}\r\n")).unwrap_err();
+        assert!(err.contains("more than"), "{err}");
+    }
+
+    #[test]
+    fn request_just_under_both_limits_parses() {
+        // A request line and MAX_HEADERS headers, each exactly
+        // MAX_LINE_BYTES long with its CRLF.
+        let fixed = "GET / HTTP/1.1\r\n".len();
+        let request_line = format!("GET /{} HTTP/1.1\r\n", "a".repeat(MAX_LINE_BYTES - fixed));
+        assert_eq!(request_line.len(), MAX_LINE_BYTES);
+        let headers: String = (0..MAX_HEADERS)
+            .map(|i| header_line(&format!("h{i}"), MAX_LINE_BYTES))
+            .collect();
+        let req = parse_bytes(&format!("{request_line}{headers}\r\n")).unwrap();
+        assert_eq!(req.headers.len(), MAX_HEADERS);
+        assert_eq!(req.path.len(), MAX_LINE_BYTES - fixed + 1);
     }
 
     #[test]

@@ -23,16 +23,15 @@ use tet_isa::reg::RegFile;
 use tet_isa::{Flags, Inst, Opcode, Program, Reg};
 use tet_mem::{AddressSpace, HitLevel, MemorySystem, PageWalker, PhysMem, Pte, Tlb, WalkOutcome};
 use tet_metrics::{ProfHandle, Stage as ProfStage};
-use tet_obs::{EventKind, SinkHandle, TlbKind};
-use tet_pmu::{Event, Pmu};
+use tet_obs::{EventKind, SinkHandle, SquashCause, TlbKind};
+use tet_pmu::{Event, Pmu, PmuSnapshot};
 
 use crate::config::{CpuConfig, ForwardPolicy};
 use crate::frontend::{Dsb, FetchedUop};
+use crate::machine::RunResult;
 use crate::template::ProgramTemplate;
 use crate::uop::FaultRoute;
-use crate::uop::{
-    Dep, DepKind, DepList, Fault, FaultKind, ResultList, RobEntry, SquashReason, StoreInfo,
-};
+use crate::uop::{Dep, DepKind, DepList, Fault, FaultKind, ResultList, RobEntry, StoreInfo};
 use crate::Bpu;
 
 /// Borrowed environment a core steps against (shared by both SMT threads).
@@ -717,11 +716,10 @@ impl Cpu {
     /// Emits a squash event for every ROB entry at index `from` onward.
     /// The disabled path is a single branch — no id collection, no
     /// allocation.
-    fn emit_squash_from(&self, from: usize, at: u64, reason: SquashReason) {
+    fn emit_squash_from(&self, from: usize, at: u64, cause: SquashCause) {
         if !self.sink.enabled() {
             return;
         }
-        let cause = reason.to_obs();
         for e in self.rob.iter().skip(from) {
             self.sink
                 .emit_at(at, EventKind::UopSquashed { id: e.id, cause });
@@ -773,6 +771,37 @@ impl Cpu {
     /// empty pipeline (no `Halt` will ever retire).
     pub fn ran_off_end(&self, program: &Program) -> bool {
         self.pipeline_empty() && self.fetch_pc >= program.len() && !self.halted
+    }
+
+    /// How the current run of `program` has ended, or `None` while it is
+    /// still going: a retired `Halt` or an unhandled fault, else running
+    /// off the end. The cycle budget is the caller's to enforce.
+    #[inline]
+    pub fn finished(&self, program: &Program) -> Option<RunExit> {
+        if self.halted {
+            Some(match self.unhandled {
+                Some(r) => RunExit::UnhandledFault(r),
+                None => RunExit::Halted,
+            })
+        } else if self.ran_off_end(program) {
+            Some(RunExit::RanOffEnd)
+        } else {
+            None
+        }
+    }
+
+    /// Closes the current run: its result, with the PMU delta measured
+    /// against `pmu_before` (taken right after [`Cpu::reset_run`]).
+    pub fn finish_run(&mut self, exit: RunExit, pmu_before: &PmuSnapshot) -> RunResult {
+        RunResult {
+            exit,
+            cycles: self.cycle,
+            regs: self.regs,
+            flags: self.flags,
+            retired: self.retired_insts,
+            pmu: self.pmu.snapshot().delta(pmu_before),
+            exceptions: self.take_exceptions(),
+        }
     }
 
     // =====================================================================
@@ -1210,7 +1239,7 @@ impl Cpu {
             self.pmu.bump(Event::BpL1BtbCorrect, 1);
 
             let flushed = self.rob.len() - (i + 1);
-            self.squash_younger_than(i, now, SquashReason::BranchMispredict);
+            self.squash_younger_than(i, now, SquashCause::BranchMispredict);
             self.sink.emit_at(
                 now,
                 EventKind::Resteer {
@@ -1240,8 +1269,8 @@ impl Cpu {
 
     /// Removes all ROB entries younger than index `keep` (emitting their
     /// squash events) and rebuilds the rename state from the survivors.
-    fn squash_younger_than(&mut self, keep: usize, now: u64, reason: SquashReason) {
-        self.emit_squash_from(keep + 1, now, reason);
+    fn squash_younger_than(&mut self, keep: usize, now: u64, cause: SquashCause) {
+        self.emit_squash_from(keep + 1, now, cause);
         self.rob.truncate(keep + 1);
         self.rebuild_rename_state();
     }
@@ -1650,11 +1679,11 @@ impl Cpu {
 
         // Full pipeline flush; architectural state stays at the last
         // commit (the faulting µop and everything younger vanish).
-        let squash_reason = match route {
-            FaultRoute::TxnAbort => SquashReason::TxnAbort,
-            _ => SquashReason::Fault,
+        let squash_cause = match route {
+            FaultRoute::TxnAbort => SquashCause::TxnAbort,
+            _ => SquashCause::Fault,
         };
-        self.emit_squash_from(0, now, squash_reason);
+        self.emit_squash_from(0, now, squash_cause);
         self.sink.emit_at(
             now,
             EventKind::FaultDelivered {

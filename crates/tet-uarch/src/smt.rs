@@ -11,7 +11,7 @@ use tet_isa::Program;
 use tet_mem::{AddressSpace, FrameAlloc, MemorySystem, PhysMem, Pte, PAGE_SIZE};
 
 use crate::core::{Cpu, Env, RunExit};
-use crate::machine::{compose_run_sink, rebuild_traces, RunConfig, RunResult};
+use crate::machine::{RunConfig, RunResult};
 use crate::{code_vaddr, CpuConfig};
 
 /// The outcome of an SMT co-run.
@@ -151,9 +151,8 @@ impl SmtMachine {
         // Each thread gets its own handle (tagged 0 / 1); the shared
         // memory hierarchy is re-pointed at the stepping thread's handle
         // so cache events carry the right thread id.
-        let (h0, rec0) = compose_run_sink(cfg0, None);
-        let (h1, rec1) = compose_run_sink(cfg1, None);
-        let h1 = h1.for_thread(1);
+        let h0 = cfg0.sink.clone();
+        let h1 = cfg1.sink.for_thread(1);
         let trace_mem = h0.enabled() || h1.enabled();
         self.mem.set_sink(h0.clone());
         self.cpu0
@@ -164,12 +163,10 @@ impl SmtMachine {
         let pmu1_before = self.cpu1.pmu.snapshot();
         let max_cycles = cfg0.max_cycles.max(cfg1.max_cycles);
 
-        let mut exit0 = RunExit::CycleLimit;
-        let mut exit1 = RunExit::CycleLimit;
         let mut cycle = 0u64;
         while cycle < max_cycles {
-            let done0 = self.cpu0.halted() || self.cpu0.ran_off_end(prog0);
-            let done1 = self.cpu1.halted() || self.cpu1.ran_off_end(prog1);
+            let done0 = self.cpu0.finished(prog0).is_some();
+            let done1 = self.cpu1.finished(prog1).is_some();
             if done0 && done1 {
                 break;
             }
@@ -207,57 +204,10 @@ impl SmtMachine {
             cycle += 1;
         }
 
-        if self.cpu0.halted() {
-            exit0 = match self.cpu0.unhandled_fault() {
-                Some(r) => RunExit::UnhandledFault(*r),
-                None => RunExit::Halted,
-            };
-        } else if self.cpu0.ran_off_end(prog0) {
-            exit0 = RunExit::RanOffEnd;
-        }
-        if self.cpu1.halted() {
-            exit1 = match self.cpu1.unhandled_fault() {
-                Some(r) => RunExit::UnhandledFault(*r),
-                None => RunExit::Halted,
-            };
-        } else if self.cpu1.ran_off_end(prog1) {
-            exit1 = RunExit::RanOffEnd;
-        }
-
-        let (frontend0, uops0) = match rec0 {
-            Some(rec) => {
-                rebuild_traces(prog0, &rec.drain(), 0, cfg0.trace_frontend, cfg0.trace_uops)
-            }
-            None => (None, None),
-        };
-        let (frontend1, uops1) = match rec1 {
-            Some(rec) => {
-                rebuild_traces(prog1, &rec.drain(), 1, cfg1.trace_frontend, cfg1.trace_uops)
-            }
-            None => (None, None),
-        };
-        let t0 = RunResult {
-            exit: exit0,
-            cycles: self.cpu0.cycle(),
-            regs: *self.cpu0.regs(),
-            flags: self.cpu0.flags(),
-            retired: self.cpu0.retired_insts(),
-            pmu: self.cpu0.pmu.snapshot().delta(&pmu0_before),
-            exceptions: self.cpu0.take_exceptions(),
-            frontend_trace: frontend0,
-            uop_trace: uops0,
-        };
-        let t1 = RunResult {
-            exit: exit1,
-            cycles: self.cpu1.cycle(),
-            regs: *self.cpu1.regs(),
-            flags: self.cpu1.flags(),
-            retired: self.cpu1.retired_insts(),
-            pmu: self.cpu1.pmu.snapshot().delta(&pmu1_before),
-            exceptions: self.cpu1.take_exceptions(),
-            frontend_trace: frontend1,
-            uop_trace: uops1,
-        };
+        let exit0 = self.cpu0.finished(prog0).unwrap_or(RunExit::CycleLimit);
+        let exit1 = self.cpu1.finished(prog1).unwrap_or(RunExit::CycleLimit);
+        let t0 = self.cpu0.finish_run(exit0, &pmu0_before);
+        let t1 = self.cpu1.finish_run(exit1, &pmu1_before);
         SmtRunResult { t0, t1 }
     }
 }

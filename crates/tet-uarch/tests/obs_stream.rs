@@ -1,7 +1,7 @@
 //! End-to-end tests of the structured trace stream: a Machine run with a
-//! sink attached emits a consistent µop lifecycle, the stream agrees with
-//! the legacy `uop_trace` adapter, attaching a sink does not perturb the
-//! simulation, and the Chrome exporter over real events stays schema-valid.
+//! sink attached emits a consistent µop lifecycle, attaching a sink does
+//! not perturb the simulation, and the Chrome exporter over real events
+//! stays schema-valid.
 
 use std::sync::Arc;
 
@@ -29,7 +29,6 @@ fn recorded_run(
         &a.assemble().expect("assembles"),
         &RunConfig {
             handler_pc: Some(handler),
-            trace_uops: true,
             sink: SinkHandle::attached(rec.clone()),
             ..RunConfig::default()
         },
@@ -85,28 +84,6 @@ fn sink_stream_is_lifecycle_consistent() {
             ..
         }
     )));
-}
-
-#[test]
-fn sink_stream_agrees_with_legacy_uop_trace() {
-    let mut m = Machine::new(CpuConfig::kaby_lake_i7_7700(), 3);
-    m.map_kernel_page(0xffff_ffff_8000_0000);
-    let (a, handler) = meltdown_asm();
-    let (r, events) = recorded_run(&mut m, &a, handler);
-    let trace = r.uop_trace.expect("requested");
-
-    let renames = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::UopRenamed { .. }))
-        .count();
-    assert_eq!(trace.len(), renames, "one trace row per renamed µop");
-    for t in &trace {
-        let rename = events
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::UopRenamed { id, .. } if id == t.id))
-            .expect("rename event exists");
-        assert_eq!(rename.cycle, t.renamed_at);
-    }
 }
 
 #[test]

@@ -1,5 +1,8 @@
 //! Temporary diagnostic for the RSB timing components.
+use std::sync::Arc;
+
 use tet_isa::{Asm, Cond, Program, Reg};
+use tet_obs::{EventKind, MemorySink, SinkHandle};
 use tet_pmu::Event;
 use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit};
 
@@ -109,33 +112,39 @@ fn trace_windows() {
     m.map_user_page(0x60_0000);
     let prog = rsb_gadget(0x50_0000, 48);
     let run = |m: &mut Machine, test: u64| {
+        let rec = Arc::new(MemorySink::new());
         let r = m.run(
             &prog,
             &RunConfig {
                 init_regs: vec![(Reg::Rbx, test), (Reg::Rsp, 0x60_0800)],
-                trace_frontend: true,
+                sink: SinkHandle::attached(rec.clone()),
                 ..RunConfig::default()
             },
         );
-        (r.regs.get(Reg::Rax), r.frontend_trace.unwrap())
+        (r.regs.get(Reg::Rax), rec.drain())
     };
     for _ in 0..4 {
         run(&mut m, 1);
     }
     for (label, test) in [("miss", 1u64), ("hit", b'R' as u64)] {
-        let (tote, tr) = run(&mut m, test);
-        let line: String = tr
+        let (tote, events) = run(&mut m, test);
+        let line: String = events
             .iter()
-            .map(|e| {
-                if e.mite_uops > 0 {
+            .filter_map(|e| match e.kind {
+                EventKind::FrontendCycle {
+                    dsb_uops,
+                    mite_uops,
+                    stalled,
+                } => Some(if mite_uops > 0 {
                     'M'
-                } else if e.dsb_uops > 0 {
+                } else if dsb_uops > 0 {
                     'D'
-                } else if e.stalled {
+                } else if stalled {
                     '.'
                 } else {
                     '_'
-                }
+                }),
+                _ => None,
             })
             .collect();
         println!("{label} tote={tote}\n{line}");

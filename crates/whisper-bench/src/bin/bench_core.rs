@@ -32,7 +32,7 @@ use whisper::eval::{run_table2_matrix_detailed, run_table2_matrix_observed};
 use whisper::gadget::{TetGadget, TetGadgetSpec};
 use whisper::scenario::{Scenario, ScenarioOptions};
 use whisper_bench::telemetry::Campaign;
-use whisper_bench::{baseline, section, write_sidecar, RunReport};
+use whisper_bench::{baseline, section, take_flag_value, write_sidecar, RunReport};
 
 /// Median ns/iteration over `samples` timing windows of `iters` calls.
 fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
@@ -53,16 +53,8 @@ fn main() {
     let threads = tet_par::threads_from_args(&mut args);
     let smoke =
         args.iter().any(|a| a == "--smoke") || std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_core.json".to_string());
-
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1).cloned());
+    let out = take_flag_value(&mut args, "--out").unwrap_or_else(|| "BENCH_core.json".to_string());
+    let baseline_path = take_flag_value(&mut args, "--baseline");
 
     let mut rep = RunReport::new("bench_core");
     rep.set_meta("mode", if smoke { "smoke" } else { "full" });

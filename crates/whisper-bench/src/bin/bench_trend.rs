@@ -22,19 +22,7 @@
 //!   regresses past its band (the CI trend gate).
 
 use whisper_bench::trend::{self, TrendVerdict};
-use whisper_bench::{section, write_report, RunReport};
-
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 < args.len() {
-            let v = args.remove(i + 1);
-            args.remove(i);
-            return Some(v);
-        }
-        args.remove(i);
-    }
-    None
-}
+use whisper_bench::{section, take_flag_value, write_report, RunReport};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();

@@ -7,34 +7,62 @@
 //!
 //! Run: `cargo run -p whisper-bench --bin fig3_resteer`
 
+use std::sync::Arc;
+
 use tet_isa::Reg;
+use tet_obs::{EventKind, MemorySink, SinkHandle};
 use tet_uarch::{CpuConfig, RunConfig};
 use whisper::gadget::{TetGadget, TetGadgetSpec, TransientBegin};
 use whisper::scenario::{Scenario, ScenarioOptions};
 use whisper_bench::{section, write_report, RunReport};
 
-fn trace(sc: &mut Scenario, gadget: &TetGadget, test: u64) -> Vec<tet_uarch::FrontendTraceEntry> {
-    let r = sc.machine.run(
+/// One cycle of frontend delivery: µops from the DSB, µops from MITE,
+/// and whether the frontend was stalled.
+struct Delivery {
+    dsb: u32,
+    mite: u32,
+    stalled: bool,
+}
+
+/// Runs the gadget once with a recorder attached and returns its
+/// per-cycle frontend delivery.
+fn trace(sc: &mut Scenario, gadget: &TetGadget, test: u64) -> Vec<Delivery> {
+    let rec = Arc::new(MemorySink::new());
+    sc.machine.run(
         &gadget.program,
         &RunConfig {
             handler_pc: Some(gadget.handler_pc),
             init_regs: vec![(Reg::Rbx, test)],
-            trace_frontend: true,
+            sink: SinkHandle::attached(rec.clone()),
             ..RunConfig::default()
         },
     );
-    r.frontend_trace.expect("tracing was requested")
+    rec.drain()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::FrontendCycle {
+                dsb_uops,
+                mite_uops,
+                stalled,
+            } => Some(Delivery {
+                dsb: dsb_uops,
+                mite: mite_uops,
+                stalled,
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
-fn render(trace: &[tet_uarch::FrontendTraceEntry]) -> String {
+fn render(trace: &[Delivery]) -> String {
     // One character per cycle: D = DSB delivery, M = MITE delivery,
     // . = stalled, space = idle.
     trace
         .iter()
         .map(|e| {
-            if e.mite_uops > 0 {
+            if e.mite > 0 {
                 'M'
-            } else if e.dsb_uops > 0 {
+            } else if e.dsb > 0 {
                 'D'
             } else if e.stalled {
                 '.'
@@ -72,8 +100,8 @@ fn main() {
     println!("Jcc triggered    ({} cycles):", triggered.len());
     println!("  {}", render(&triggered));
 
-    let stall = |t: &[tet_uarch::FrontendTraceEntry]| t.iter().filter(|e| e.stalled).count();
-    let dsb = |t: &[tet_uarch::FrontendTraceEntry]| t.iter().map(|e| e.dsb_uops).sum::<usize>();
+    let stall = |t: &[Delivery]| t.iter().filter(|e| e.stalled).count();
+    let dsb = |t: &[Delivery]| t.iter().map(|e| e.dsb as usize).sum::<usize>();
     println!(
         "\nstall cycles: not-triggered {}, triggered {}",
         stall(&quiet),

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use tet_obs::Histogram;
 use tet_serve::{Client, ServerConfig};
-use whisper_bench::{section, write_report, RunReport};
+use whisper_bench::{section, take_flag_value, write_report, RunReport};
 
 /// Cold probes per run: enough for a stable median without making the
 /// smoke job slow.
@@ -50,19 +50,6 @@ fn cold_spec(seed: u64) -> String {
         "{{\"kind\": \"table2_cell\", \"preset\": \"intel-core-i7-7700\", \
           \"attack\": \"cc\", \"seed\": {seed}, \"trials\": 64}}"
     )
-}
-
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 < args.len() {
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    } else {
-        args.remove(i);
-        eprintln!("serve_load: {flag} needs a value");
-        std::process::exit(2);
-    }
 }
 
 fn parse_or_exit<T: std::str::FromStr>(flag: &str, v: String) -> T {

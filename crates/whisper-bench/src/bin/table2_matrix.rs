@@ -33,21 +33,9 @@ use whisper::eval::{
     paper_table2_row, run_table2_matrix_observed, AttackStatus, CellStats, Table2Row,
 };
 use whisper_bench::telemetry::Campaign;
-use whisper_bench::{check_from_args, section, write_report, write_sidecar, RunReport, Table};
-
-/// Pops `--server URL` from the argument list, if present.
-fn server_from_args(args: &mut Vec<String>) -> Option<String> {
-    let i = args.iter().position(|a| a == "--server")?;
-    if i + 1 < args.len() {
-        let url = args.remove(i + 1);
-        args.remove(i);
-        Some(url)
-    } else {
-        args.remove(i);
-        eprintln!("table2_matrix: --server needs a URL (e.g. 127.0.0.1:8044)");
-        std::process::exit(2);
-    }
-}
+use whisper_bench::{
+    check_from_args, section, take_flag_value, write_report, write_sidecar, RunReport, Table,
+};
 
 /// Runs the matrix campaign through a `whisper-serve` instance and
 /// reconstructs the per-CPU rows from the served report's
@@ -118,7 +106,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
     let checked = check_from_args(&mut args);
-    let server = server_from_args(&mut args);
+    let server = take_flag_value(&mut args, "--server");
     section("Table 2: attack matrix (ours vs paper)");
     println!("  threads: {threads}");
     let mut table = Table::new(&[

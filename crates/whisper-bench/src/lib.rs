@@ -106,6 +106,31 @@ pub fn check_from_args(args: &mut Vec<String>) -> bool {
     found
 }
 
+/// Pops `FLAG VALUE` from the argument list and returns the value, or
+/// `None` when the flag is absent. A flag given without a value is a
+/// usage error: the process prints a message naming the flag and exits
+/// with status 2.
+pub fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    pop_flag_value(args, flag).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// [`take_flag_value`] without the exit: `Err` names a flag that has no
+/// value.
+fn pop_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    args.remove(i);
+    if i < args.len() {
+        Ok(Some(args.remove(i)))
+    } else {
+        Err(format!("error: {flag} needs a value"))
+    }
+}
+
 /// Formats a ✓/✗ cell from a success flag (ASCII-safe).
 pub fn tick(ok: bool) -> &'static str {
     if ok {
@@ -173,6 +198,23 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("a     bbbb"));
         assert!(lines[2].starts_with("xxxx  y"));
+    }
+
+    #[test]
+    fn flag_values_are_popped_and_a_missing_value_is_an_error() {
+        let mut args: Vec<String> = ["--out", "a.json", "rest", "--band"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            pop_flag_value(&mut args, "--out"),
+            Ok(Some("a.json".into()))
+        );
+        assert_eq!(args, ["rest", "--band"]);
+        assert_eq!(pop_flag_value(&mut args, "--server"), Ok(None));
+        let err = pop_flag_value(&mut args, "--band").unwrap_err();
+        assert!(err.contains("--band"), "{err}");
+        assert_eq!(args, ["rest"]);
     }
 
     #[test]

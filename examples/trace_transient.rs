@@ -1,50 +1,110 @@
 //! Watch the transient execution happen, µop by µop.
 //!
-//! Runs the TET-Meltdown gadget with per-µop lifecycle tracing and
-//! renders a pipeline chart: which µops retired (architectural), which
-//! executed transiently and were squashed — and how the triggered Jcc's
-//! misprediction reshapes the window.
+//! Runs the TET-Meltdown gadget with a structured trace sink attached and
+//! folds the recorded µop lifecycle events into a pipeline chart: which
+//! µops retired (architectural), which executed transiently and were
+//! squashed — and how the triggered Jcc's misprediction reshapes the
+//! window.
 //!
-//! It also attaches a structured trace sink and exports the full event
-//! stream (µop slices, faults, resteers, cache/TLB activity) as Chrome
-//! trace JSON — load `target/reports/trace_transient.chrome.json` in
-//! <https://ui.perfetto.dev> to scrub through the transient window.
+//! It also exports the full event stream (µop slices, faults, resteers,
+//! cache/TLB activity) as Chrome trace JSON — load
+//! `target/reports/trace_transient.{not_triggered,triggered}.chrome.json`
+//! in <https://ui.perfetto.dev> to scrub through the transient window.
 //!
 //! Run: `cargo run -p whisper --example trace_transient`
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use tet_isa::Reg;
-use tet_obs::{ChromeTrace, MemorySink, SinkHandle};
-use tet_uarch::{CpuConfig, RunConfig, SquashReason, UopFate};
+use tet_isa::{Inst, Program, Reg};
+use tet_obs::{ChromeTrace, EventKind, MemorySink, SinkHandle, SquashCause, TraceEvent};
+use tet_uarch::{CpuConfig, RunConfig};
 use whisper::gadget::{TetGadget, TetGadgetSpec, TransientBegin};
 use whisper::scenario::{Scenario, ScenarioOptions};
 
-fn render(trace: &[tet_uarch::UopTrace], total_cycles: u64) {
+/// One row of the chart: a renamed µop and what became of it.
+struct Row {
+    id: u64,
+    inst: Inst,
+    renamed_at: u64,
+    started_at: Option<u64>,
+    done_at: Option<u64>,
+    /// Retire or squash cycle and cause (`None` = retired); unset while
+    /// the µop is still in flight.
+    end: Option<(u64, Option<SquashCause>)>,
+}
+
+/// Folds a run's µop lifecycle events into one row per renamed µop, in
+/// rename order.
+fn rows(program: &Program, events: &[TraceEvent]) -> Vec<Row> {
+    let mut rows: Vec<Row> = Vec::new();
+    let mut index = HashMap::new();
+    for ev in events {
+        match ev.kind {
+            EventKind::UopRenamed { id, pc, .. } => {
+                let Some(inst) = program.fetch(pc as usize) else {
+                    continue;
+                };
+                index.insert(id, rows.len());
+                rows.push(Row {
+                    id,
+                    inst,
+                    renamed_at: ev.cycle,
+                    started_at: None,
+                    done_at: None,
+                    end: None,
+                });
+            }
+            EventKind::UopExecuted {
+                id,
+                started_at,
+                done_at,
+            } => {
+                if let Some(&i) = index.get(&id) {
+                    rows[i].started_at = Some(started_at);
+                    rows[i].done_at = Some(done_at);
+                }
+            }
+            EventKind::UopRetired { id } => {
+                if let Some(&i) = index.get(&id) {
+                    rows[i].end.get_or_insert((ev.cycle, None));
+                }
+            }
+            EventKind::UopSquashed { id, cause } => {
+                if let Some(&i) = index.get(&id) {
+                    rows[i].end.get_or_insert((ev.cycle, Some(cause)));
+                }
+            }
+            _ => {}
+        }
+    }
+    rows
+}
+
+fn render(rows: &[Row], total_cycles: u64) {
     let width = 100usize;
     let scale = |c: u64| -> usize { (c as usize * (width - 1)) / total_cycles.max(1) as usize };
     println!(
         "{:<4} {:<26} {:<10} timeline (. renamed, = executing, R retired, x squashed)",
         "id", "inst", "fate"
     );
-    for t in trace {
+    for t in rows {
         let mut line = vec![b' '; width];
         let start = scale(t.renamed_at);
         let exec = t.started_at.map(scale);
         let done = t.done_at.map(scale);
-        let (end, endch, fate) = match t.fate {
-            UopFate::Retired { at } => (scale(at), b'R', "retired".to_string()),
-            UopFate::Squashed { at, reason } => (
+        let (end, endch, fate) = match t.end {
+            Some((at, None)) => (scale(at), b'R', "retired"),
+            Some((at, Some(cause))) => (
                 scale(at),
                 b'x',
-                match reason {
-                    SquashReason::BranchMispredict => "SQ:branch",
-                    SquashReason::Fault => "SQ:fault",
-                    SquashReason::TxnAbort => "SQ:abort",
-                }
-                .to_string(),
+                match cause {
+                    SquashCause::BranchMispredict => "SQ:branch",
+                    SquashCause::Fault => "SQ:fault",
+                    SquashCause::TxnAbort => "SQ:abort",
+                },
             ),
-            UopFate::InFlight => (width - 1, b'?', "in-flight".to_string()),
+            None => (width - 1, b'?', "in-flight"),
         };
         for c in line.iter_mut().take(end + 1).skip(start) {
             *c = b'.';
@@ -92,15 +152,14 @@ fn main() {
             &RunConfig {
                 handler_pc: Some(gadget.handler_pc),
                 init_regs: vec![(Reg::Rbx, test)],
-                trace_uops: true,
                 sink: SinkHandle::attached(recorder.clone()),
                 ..RunConfig::default()
             },
         );
         println!("\n=== {label}: ToTE = {} cycles ===", r.regs.get(Reg::Rax));
-        render(&r.uop_trace.expect("requested"), r.cycles);
-
         let events = recorder.drain();
+        render(&rows(&gadget.program, &events), r.cycles);
+
         let name = format!("trace_transient ({slug})");
         let json = ChromeTrace::new(&name, events).to_json();
         let dir = std::env::var("TET_REPORT_DIR")
