@@ -14,7 +14,6 @@ use tet_obs::{EventKind, MemLevel, SinkHandle};
 use crate::cache::{Cache, CacheConfig};
 use crate::lfb::LineFillBuffer;
 use crate::phys::PhysMem;
-use crate::{line_addr, LINE_SIZE};
 
 /// Which level served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -201,15 +200,6 @@ impl MemorySystem {
         DataAccess { latency, level }
     }
 
-    fn line_data(pa: u64, phys: &PhysMem) -> [u8; LINE_SIZE as usize] {
-        let base = line_addr(pa);
-        let mut data = [0u8; LINE_SIZE as usize];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = phys.read_u8(base + i as u64);
-        }
-        data
-    }
-
     /// A timed demand data load of physical address `pa`. Fills all levels
     /// on the way in; fills beyond L1 pass through (and are recorded in)
     /// the line fill buffer.
@@ -219,7 +209,7 @@ impl MemorySystem {
             return self.finish(pa, HitLevel::L1, l1_lat, false);
         }
         // Every fill into L1 passes through a fill buffer.
-        self.lfb.record_fill(pa, Self::line_data(pa, phys));
+        self.lfb.record_fill(pa, phys.read_line(pa));
         self.sink.emit(EventKind::LfbFill { pa });
         if self.l2.lookup(pa) {
             self.l1d.fill(pa);
@@ -253,7 +243,7 @@ impl MemorySystem {
         if self.l1i.lookup(pa) {
             return self.finish(pa, HitLevel::L1, l1_lat, true);
         }
-        self.lfb.record_fill(pa, Self::line_data(pa, phys));
+        self.lfb.record_fill(pa, phys.read_line(pa));
         self.sink.emit(EventKind::LfbFill { pa });
         if self.l2.lookup(pa) {
             self.l1i.fill(pa);

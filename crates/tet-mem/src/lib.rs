@@ -29,6 +29,7 @@
 
 pub mod cache;
 pub mod hierarchy;
+mod intmap;
 pub mod lfb;
 pub mod paging;
 pub mod phys;

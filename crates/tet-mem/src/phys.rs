@@ -1,9 +1,9 @@
 //! Sparse simulated physical memory with copy-on-write snapshot forks.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::PAGE_SIZE;
+use crate::intmap::IntMap;
+use crate::{line_addr, LINE_SIZE, PAGE_SIZE};
 
 /// One 4 KiB physical page.
 pub type Page = [u8; PAGE_SIZE as usize];
@@ -50,9 +50,9 @@ impl PageSlot {
 /// ```
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    pages: HashMap<u64, PageSlot>,
+    pages: IntMap<u64, PageSlot>,
     /// The sealed snapshot image this memory forked from, if any.
-    base: Option<Arc<HashMap<u64, Arc<Page>>>>,
+    base: Option<Arc<IntMap<u64, Arc<Page>>>>,
     /// Page numbers touched since the last seal/restore. Deduplicated by
     /// construction: a page COW-forks (or is inserted) at most once per
     /// epoch, exactly when it journals itself.
@@ -86,41 +86,42 @@ impl PhysMem {
         self.pages.get(&(pa / PAGE_SIZE)).map(PageSlot::bytes)
     }
 
-    fn blank_page(&mut self) -> Box<Page> {
-        match self.spare.pop() {
-            Some(mut p) => {
-                p.fill(0);
-                p
-            }
-            None => Box::new([0; PAGE_SIZE as usize]),
-        }
-    }
-
+    /// The page containing `pa`, made privately owned: one map lookup,
+    /// plus a COW fork or a fresh allocation on the first write to the
+    /// page this epoch, which also journals it.
     fn page_mut(&mut self, pa: u64) -> &mut Page {
         let vpn = pa / PAGE_SIZE;
-        if !matches!(self.pages.get(&vpn), Some(PageSlot::Owned(_))) {
-            let slot = match self.pages.remove(&vpn) {
-                // COW fork: first write to a clean page this epoch.
-                Some(PageSlot::Shared(arc)) => {
-                    let mut owned = match self.spare.pop() {
-                        Some(p) => p,
-                        None => Box::new([0; PAGE_SIZE as usize]),
-                    };
-                    owned.copy_from_slice(&arc[..]);
-                    PageSlot::Owned(owned)
-                }
-                Some(owned @ PageSlot::Owned(_)) => owned,
-                // Fresh allocation.
-                None => PageSlot::Owned(self.blank_page()),
-            };
-            if self.base.is_some() {
-                self.dirty.push(vpn);
+        let PhysMem {
+            pages,
+            base,
+            dirty,
+            spare,
+        } = self;
+        let slot = pages.entry(vpn).or_insert_with(|| {
+            if base.is_some() {
+                dirty.push(vpn);
             }
-            self.pages.insert(vpn, slot);
+            let page = match spare.pop() {
+                Some(mut p) => {
+                    p.fill(0);
+                    p
+                }
+                None => Box::new([0; PAGE_SIZE as usize]),
+            };
+            PageSlot::Owned(page)
+        });
+        if let PageSlot::Shared(shared) = slot {
+            let mut owned = spare
+                .pop()
+                .unwrap_or_else(|| Box::new([0; PAGE_SIZE as usize]));
+            owned.copy_from_slice(&shared[..]);
+            *slot = PageSlot::Owned(owned);
+            // A shared page exists only under a sealed base image.
+            dirty.push(vpn);
         }
-        match self.pages.get_mut(&vpn) {
-            Some(PageSlot::Owned(p)) => p,
-            _ => unreachable!("page was just made Owned"),
+        match slot {
+            PageSlot::Owned(p) => p,
+            PageSlot::Shared(_) => unreachable!("page was just made Owned"),
         }
     }
 
@@ -140,29 +141,60 @@ impl PhysMem {
     /// Reads an 8-byte little-endian value (may cross a page boundary).
     pub fn read_u64(&self, pa: u64) -> u64 {
         let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(pa + i as u64);
-        }
+        self.read_into(pa, &mut bytes);
         u64::from_le_bytes(bytes)
     }
 
     /// Writes an 8-byte little-endian value (may cross a page boundary).
     pub fn write_u64(&mut self, pa: u64, v: u64) {
-        for (i, b) in v.to_le_bytes().iter().enumerate() {
-            self.write_u8(pa + i as u64, *b);
-        }
+        self.write_bytes(pa, &v.to_le_bytes());
     }
 
-    /// Copies a byte slice into memory starting at `pa`.
+    /// Reads the 64-byte cache line containing `pa` with one page
+    /// lookup (a line never crosses a page).
+    pub fn read_line(&self, pa: u64) -> [u8; LINE_SIZE as usize] {
+        let mut line = [0u8; LINE_SIZE as usize];
+        self.read_into(line_addr(pa), &mut line);
+        line
+    }
+
+    /// Copies a byte slice into memory starting at `pa`, one page
+    /// lookup per page it spans.
     pub fn write_bytes(&mut self, pa: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(pa + i as u64, *b);
+        let mut pa = pa;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (pa % PAGE_SIZE) as usize;
+            let n = rest.len().min(PAGE_SIZE as usize - off);
+            self.page_mut(pa)[off..off + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            pa += n as u64;
         }
     }
 
     /// Reads `len` bytes starting at `pa`.
     pub fn read_bytes(&self, pa: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(pa + i as u64)).collect()
+        let mut out = vec![0; len];
+        self.read_into(pa, &mut out);
+        out
+    }
+
+    /// Fills `out` from memory starting at `pa`, one page lookup per
+    /// page it spans; unwritten pages read as zero.
+    fn read_into(&self, pa: u64, out: &mut [u8]) {
+        let mut pa = pa;
+        let mut rest = out;
+        while !rest.is_empty() {
+            let off = (pa % PAGE_SIZE) as usize;
+            let n = rest.len().min(PAGE_SIZE as usize - off);
+            let (chunk, tail) = rest.split_at_mut(n);
+            match self.page(pa) {
+                Some(p) => chunk.copy_from_slice(&p[off..off + n]),
+                None => chunk.fill(0),
+            }
+            rest = tail;
+            pa += n as u64;
+        }
     }
 
     /// Number of physical pages that have been touched by a write.
@@ -182,7 +214,7 @@ impl PhysMem {
     /// against a clone of the same seal is O(pages dirtied).
     pub fn seal(&mut self) {
         let pages = std::mem::take(&mut self.pages);
-        let mut base = HashMap::with_capacity(pages.len());
+        let mut base = IntMap::with_capacity_and_hasher(pages.len(), Default::default());
         self.pages.reserve(pages.len());
         for (vpn, slot) in pages {
             let arc = match slot {

@@ -1,11 +1,12 @@
 //! Model-based property tests: the set-associative cache and TLB are
 //! checked against naive reference models over arbitrary operation
-//! sequences, and the paging radix tree against a flat map.
+//! sequences, the paging radix tree against a flat map, and the
+//! page-granular `PhysMem` accessors against a byte-at-a-time map.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use tet_mem::{AddressSpace, Cache, CacheConfig, Pte, Tlb, TlbConfig};
+use tet_mem::{AddressSpace, Cache, CacheConfig, PhysMem, Pte, Tlb, TlbConfig, PAGE_SIZE};
 
 // ---------------------------------------------------------------------
 // Cache vs a reference model (per-set LRU lists).
@@ -164,5 +165,163 @@ proptest! {
                 prop_assert_eq!(levels, 4);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// PhysMem vs a byte-at-a-time reference.
+// ---------------------------------------------------------------------
+
+/// First byte of the window the memory ops land in.
+const WIN_BASE: u64 = 0x7_0000;
+/// Pages the ops can reach (ranges run up to one page past the last).
+const WIN_PAGES: u64 = 6;
+
+#[derive(Debug, Clone)]
+enum MemOp {
+    U8(u64, u8),
+    U64(u64, u64),
+    Bytes(u64, Vec<u8>),
+    Read(u64, usize),
+}
+
+/// An address in the first four window pages; half of them sit within
+/// eight bytes of a page end, so words and ranges straddle pages.
+fn mem_addr() -> impl Strategy<Value = u64> {
+    (0u64..4, 0u64..PAGE_SIZE, any::<bool>()).prop_map(|(page, off, edge)| {
+        let off = if edge { PAGE_SIZE - 8 + off % 16 } else { off };
+        WIN_BASE + page * PAGE_SIZE + off
+    })
+}
+
+fn mem_op() -> impl Strategy<Value = MemOp> {
+    prop_oneof![
+        2 => (mem_addr(), any::<u8>()).prop_map(|(a, v)| MemOp::U8(a, v)),
+        3 => (mem_addr(), any::<u64>()).prop_map(|(a, v)| MemOp::U64(a, v)),
+        2 => (mem_addr(), prop::collection::vec(any::<u8>(), 0..200))
+            .prop_map(|(a, b)| MemOp::Bytes(a, b)),
+        // Longer than a page: a middle chunk covers a whole page.
+        1 => (mem_addr(), prop::collection::vec(any::<u8>(), 4100..4300))
+            .prop_map(|(a, b)| MemOp::Bytes(a, b)),
+        3 => (mem_addr(), 0usize..300).prop_map(|(a, n)| MemOp::Read(a, n)),
+    ]
+}
+
+/// Reference: a flat byte array over the window; bytes outside it and
+/// never-written bytes read zero.
+#[derive(Debug, Clone)]
+struct RefMem(Vec<u8>);
+
+impl Default for RefMem {
+    fn default() -> Self {
+        RefMem(vec![0; (WIN_PAGES * PAGE_SIZE) as usize])
+    }
+}
+
+impl RefMem {
+    fn get(&self, pa: u64) -> u8 {
+        pa.checked_sub(WIN_BASE)
+            .and_then(|i| self.0.get(i as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+    fn bytes(&self, pa: u64, len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| self.get(pa + i)).collect()
+    }
+    fn write(&mut self, pa: u64, bytes: &[u8]) {
+        for (i, b) in bytes.iter().enumerate() {
+            self.0[(pa - WIN_BASE) as usize + i] = *b;
+        }
+    }
+}
+
+/// Every accessor agrees with the reference around `pa..pa + len`.
+fn check_range(mem: &PhysMem, model: &RefMem, pa: u64, len: usize) {
+    let lo = pa.saturating_sub(8);
+    let n = len + 16;
+    assert_eq!(
+        mem.read_bytes(lo, n),
+        model.bytes(lo, n),
+        "read_bytes({lo:#x}, {n})"
+    );
+    for at in [pa, pa + len as u64] {
+        let word = u64::from_le_bytes(model.bytes(at, 8).try_into().unwrap());
+        assert_eq!(mem.read_u64(at), word, "read_u64({at:#x})");
+        assert_eq!(mem.read_u8(at), model.get(at), "read_u8({at:#x})");
+        let line = at & !63;
+        assert_eq!(
+            mem.read_line(at).to_vec(),
+            model.bytes(line, 64),
+            "read_line({at:#x})"
+        );
+    }
+}
+
+/// The whole window agrees, read as one range and line by line.
+fn check_window(mem: &PhysMem, model: &RefMem) {
+    let len = (WIN_PAGES * PAGE_SIZE) as usize;
+    assert_eq!(mem.read_bytes(WIN_BASE, len), model.bytes(WIN_BASE, len));
+    for line in (WIN_BASE..WIN_BASE + WIN_PAGES * PAGE_SIZE).step_by(64) {
+        assert_eq!(
+            mem.read_line(line).to_vec(),
+            model.bytes(line, 64),
+            "line {line:#x}"
+        );
+    }
+}
+
+fn apply(mem: &mut PhysMem, model: &mut RefMem, ops: &[MemOp]) {
+    for op in ops {
+        let (pa, len) = match op {
+            MemOp::U8(pa, v) => {
+                mem.write_u8(*pa, *v);
+                model.write(*pa, &[*v]);
+                (*pa, 1)
+            }
+            MemOp::U64(pa, v) => {
+                mem.write_u64(*pa, *v);
+                model.write(*pa, &v.to_le_bytes());
+                (*pa, 8)
+            }
+            MemOp::Bytes(pa, b) => {
+                mem.write_bytes(*pa, b);
+                model.write(*pa, b);
+                (*pa, b.len())
+            }
+            MemOp::Read(pa, n) => (*pa, *n),
+        };
+        check_range(mem, model, pa, len);
+    }
+    check_window(mem, model);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn phys_mem_matches_byte_reference(
+        fresh in prop::collection::vec(mem_op(), 1..40),
+        dirty in prop::collection::vec(mem_op(), 1..40),
+        after in prop::collection::vec(mem_op(), 1..40),
+    ) {
+        // Fresh memory: pages allocate on first write.
+        let mut mem = PhysMem::new();
+        let mut model = RefMem::default();
+        apply(&mut mem, &mut model, &fresh);
+
+        // Sealed: every page is shared with the snapshot until a write
+        // COW-forks it; the snapshot never sees those writes.
+        mem.seal();
+        let snap = mem.clone();
+        let sealed_model = model.clone();
+        apply(&mut mem, &mut model, &dirty);
+        check_window(&snap, &sealed_model);
+
+        // After a delta restore: back to the seal, then reused (the
+        // recycled page boxes must not leak old bytes).
+        prop_assert!(mem.restore_delta(&snap));
+        model = sealed_model;
+        check_window(&mem, &model);
+        apply(&mut mem, &mut model, &after);
     }
 }

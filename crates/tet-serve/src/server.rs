@@ -32,9 +32,11 @@
 //! | `/v1/metrics`             | GET    | Prometheus text exposition       |
 //! | `/v1/shutdown`            | POST   | graceful stop                    |
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use tet_metrics::{FlightRecorder, MetricsHandle, Registry};
 use tet_obs::json::Value;
-use tet_obs::Progress;
+use tet_obs::{Progress, RunReport};
 
 use crate::cache::ResultCache;
 use crate::hotcache::{HotCache, HotEntry};
@@ -166,6 +168,25 @@ struct Inner {
     metrics: MetricsHandle,
 }
 
+impl Inner {
+    fn new(cfg: &ServerConfig, cache: ResultCache) -> Inner {
+        let registry = Registry::new();
+        let metrics = registry.handle();
+        Inner {
+            jobs: Mutex::new(Jobs::default()),
+            work_ready: Condvar::new(),
+            cache,
+            hot: HotCache::new(cfg.hot_bytes),
+            threads: cfg.threads.max(1),
+            idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
+            shutdown: AtomicBool::new(false),
+            progress: Progress::new("whisper-serve"),
+            registry,
+            metrics,
+        }
+    }
+}
+
 /// How a served request counts toward the latency histograms.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ServeClass {
@@ -224,20 +245,7 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    let registry = Registry::new();
-    let metrics = registry.handle();
-    let inner = Arc::new(Inner {
-        jobs: Mutex::new(Jobs::default()),
-        work_ready: Condvar::new(),
-        cache,
-        hot: HotCache::new(cfg.hot_bytes),
-        threads: cfg.threads.max(1),
-        idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
-        shutdown: AtomicBool::new(false),
-        progress: Progress::new("whisper-serve"),
-        registry,
-        metrics,
-    });
+    let inner = Arc::new(Inner::new(&cfg, cache));
     inner.progress.note(&format!(
         "listening on {addr} ({} workers × {} sim threads, cache {}, budget {} B, hot {} B)",
         cfg.workers.max(1),
@@ -306,11 +314,20 @@ fn worker_loop(inner: &Arc<Inner>) {
                 jobs = guard;
             }
         };
-        run_job(inner, job_id);
+        run_job(inner, job_id, |spec, threads, observe| {
+            scheduler::run_campaign(spec, threads, observe)
+        });
     }
 }
 
-fn run_job(inner: &Arc<Inner>, job_id: u64) {
+/// Runs one queued job through `campaign` and settles it: `Done` with
+/// its report cached, or `Failed` with the error. A panicking campaign
+/// fails its job like an error does, so the worker survives and the
+/// key leaves `inflight` (the next identical submit runs it again).
+fn run_job<C>(inner: &Arc<Inner>, job_id: u64, campaign: C)
+where
+    C: FnOnce(&CampaignSpec, usize, &(dyn Fn(usize) + Sync)) -> Result<RunReport, String>,
+{
     let (spec, progress, label) = {
         let mut jobs = inner.jobs.lock().unwrap();
         let Some(entry) = jobs.entries.get_mut(&job_id) else {
@@ -327,11 +344,15 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
         .progress
         .note(&format!("job {job_id}: running {label}"));
 
-    let result = scheduler::run_campaign(&spec, inner.threads, |done| {
+    let observe = |done| {
         progress.done.store(done, Ordering::Relaxed);
         progress.flight.record_work(1, 0, 0);
         progress.flight.maybe_sample();
-    });
+    };
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        campaign(&spec, inner.threads, &observe)
+    }))
+    .unwrap_or_else(|payload| Err(format!("campaign panicked: {}", panic_message(&*payload))));
 
     let mut jobs = inner.jobs.lock().unwrap();
     let jobs = &mut *jobs; // one deref, so field borrows can split
@@ -363,6 +384,17 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
     }
     jobs.inflight.remove(&entry.key);
     progress.flight.finish();
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
 }
 
 /// One connection's lifetime: read requests off a shared buffer (so
@@ -811,5 +843,78 @@ fn stream_events(w: &mut impl Write, id: u64, inner: &Arc<Inner>) {
             return;
         }
         std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SPEC: &str = r#"{"kind": "table2_cell", "preset": "intel-core-i7-7700", "attack": "cc", "seed": 3, "trials": 1}"#;
+
+    /// Submits `SPEC` and returns the response body.
+    fn submit_spec(inner: &Arc<Inner>) -> String {
+        let req = Request {
+            method: "POST".to_string(),
+            path: "/v1/jobs".to_string(),
+            headers: Vec::new(),
+            body: SPEC.to_string(),
+            http10: false,
+        };
+        let mut out = Vec::new();
+        submit(&mut out, &req, inner, true, &mut ServeClass::Untimed);
+        String::from_utf8(out).unwrap()
+    }
+
+    fn next_queued(inner: &Arc<Inner>) -> u64 {
+        inner
+            .jobs
+            .lock()
+            .unwrap()
+            .queue
+            .pop_front()
+            .expect("a queued job")
+    }
+
+    #[test]
+    fn panicking_campaign_fails_its_job_and_releases_the_key() {
+        let dir = std::env::temp_dir().join(format!("tet_serve_panic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        let inner = Arc::new(Inner::new(&cfg, ResultCache::open_capped(&dir, 0).unwrap()));
+
+        submit_spec(&inner);
+        let first = next_queued(&inner);
+        run_job(&inner, first, |_, _, _| panic!("injected campaign fault"));
+        {
+            let jobs = inner.jobs.lock().unwrap();
+            let entry = &jobs.entries[&first];
+            assert_eq!(entry.state, JobState::Failed);
+            let error = entry.error.as_deref().unwrap();
+            assert!(error.contains("injected campaign fault"), "{error}");
+            assert!(
+                jobs.inflight.is_empty(),
+                "the failed key must leave inflight"
+            );
+        }
+
+        // The identical spec is neither cached nor deduped onto the
+        // dead job: it queues afresh and runs to completion.
+        let resp = submit_spec(&inner);
+        assert!(resp.contains(r#""deduped":false"#), "{resp}");
+        assert!(resp.contains(r#""state":"queued""#), "{resp}");
+        let second = next_queued(&inner);
+        assert_ne!(second, first);
+        run_job(&inner, second, |spec, threads, observe| {
+            scheduler::run_campaign(spec, threads, observe)
+        });
+        assert_eq!(
+            inner.jobs.lock().unwrap().entries[&second].state,
+            JobState::Done
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
