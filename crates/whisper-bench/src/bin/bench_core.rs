@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p whisper-bench --bin bench_core [--smoke] [--threads N] [--out PATH] [--baseline PATH]`
 //!
-//! `--smoke` (or `BENCH_SMOKE=1`) cuts iteration counts so CI can track
+//! `--smoke` cuts iteration counts so CI can track
 //! the numbers in seconds rather than minutes; the JSON shape is
 //! identical, with `meta.mode = "smoke"` marking the cheap run.
 //!
@@ -32,7 +32,7 @@ use whisper::eval::{run_table2_matrix_detailed, run_table2_matrix_observed};
 use whisper::gadget::{TetGadget, TetGadgetSpec};
 use whisper::scenario::{Scenario, ScenarioOptions};
 use whisper_bench::telemetry::Campaign;
-use whisper_bench::{baseline, section, take_flag_value, write_sidecar, RunReport};
+use whisper_bench::{baseline, section, take_flag, take_flag_value, write_sidecar, RunReport};
 
 /// Median ns/iteration over `samples` timing windows of `iters` calls.
 fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
@@ -51,8 +51,7 @@ fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
-    let smoke =
-        args.iter().any(|a| a == "--smoke") || std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = take_flag(&mut args, "--smoke");
     let out = take_flag_value(&mut args, "--out").unwrap_or_else(|| "BENCH_core.json".to_string());
     let baseline_path = take_flag_value(&mut args, "--baseline");
 

@@ -22,15 +22,13 @@
 //!   regresses past its band (the CI trend gate).
 
 use whisper_bench::trend::{self, TrendVerdict};
-use whisper_bench::{section, take_flag_value, write_report, RunReport};
+use whisper_bench::{parse_or_exit, section, take_flag, take_flag_value, write_report, RunReport};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-    args.retain(|a| a != "--gate");
-    let band: f64 = take_flag_value(&mut args, "--band")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
+    let gate = take_flag(&mut args, "--gate");
+    let band: f64 =
+        take_flag_value(&mut args, "--band").map_or(10.0, |v| parse_or_exit("--band", &v));
     let reports_dir = take_flag_value(&mut args, "--reports");
     let lineage = take_flag_value(&mut args, "--lineage");
 

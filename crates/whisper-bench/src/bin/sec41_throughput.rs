@@ -27,7 +27,7 @@ use whisper::channel::TetCovertChannel;
 use whisper::eval::CellStats;
 use whisper::scenario::{Scenario, ScenarioOptions};
 use whisper_bench::telemetry::Campaign;
-use whisper_bench::{section, write_report, RunReport, Table};
+use whisper_bench::{parse_or_exit, section, write_report, RunReport, Table};
 
 fn random_payload(len: usize, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,7 +38,9 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
     whisper_bench::check_from_args(&mut args);
-    let payload_len: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(64);
+    let payload_len: usize = args
+        .first()
+        .map_or(64, |v| parse_or_exit("payload_bytes", v));
     let started = std::time::Instant::now();
     let noise = ScenarioOptions {
         interrupt_period: 7919,

@@ -12,13 +12,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tet_uarch::CpuConfig;
 use whisper::smt::SmtTetChannel;
-use whisper_bench::{section, write_report, RunReport, Table};
+use whisper_bench::{parse_or_exit, section, write_report, RunReport, Table};
 
 fn main() {
     let nbits: usize = std::env::args()
         .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
+        .map_or(64, |v| parse_or_exit("bits", &v));
     let mut rng = StdRng::seed_from_u64(2024);
     let bits: Vec<u8> = (0..nbits).map(|_| rng.gen_range(0..=1)).collect();
     let cfg = CpuConfig::kaby_lake_i7_7700();

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use tet_obs::Histogram;
 use tet_serve::{Client, ServerConfig};
-use whisper_bench::{section, take_flag_value, write_report, RunReport};
+use whisper_bench::{parse_or_exit, section, take_flag, take_flag_value, write_report, RunReport};
 
 /// Cold probes per run: enough for a stable median without making the
 /// smoke job slow.
@@ -50,13 +50,6 @@ fn cold_spec(seed: u64) -> String {
         "{{\"kind\": \"table2_cell\", \"preset\": \"intel-core-i7-7700\", \
           \"attack\": \"cc\", \"seed\": {seed}, \"trials\": 64}}"
     )
-}
-
-fn parse_or_exit<T: std::str::FromStr>(flag: &str, v: String) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("serve_load: bad value {v:?} for {flag}");
-        std::process::exit(2);
-    })
 }
 
 /// Percentile over a sorted slice (nearest-rank on the closed index).
@@ -143,20 +136,19 @@ fn run_load(
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let no_keep_alive = args.iter().any(|a| a == "--no-keep-alive");
-    args.retain(|a| a != "--no-keep-alive");
+    let no_keep_alive = take_flag(&mut args, "--no-keep-alive");
     let keep_alive = !no_keep_alive;
     let server = take_flag_value(&mut args, "--server");
     let clients: usize =
-        take_flag_value(&mut args, "--clients").map_or(4, |v| parse_or_exit("--clients", v));
+        take_flag_value(&mut args, "--clients").map_or(4, |v| parse_or_exit("--clients", &v));
     let duration_ms: u64 = take_flag_value(&mut args, "--duration-ms")
-        .map_or(2000, |v| parse_or_exit("--duration-ms", v));
+        .map_or(2000, |v| parse_or_exit("--duration-ms", &v));
     let hit_pct: u64 =
-        take_flag_value(&mut args, "--hit-pct").map_or(90, |v| parse_or_exit("--hit-pct", v));
+        take_flag_value(&mut args, "--hit-pct").map_or(90, |v| parse_or_exit("--hit-pct", &v));
     let workers: usize =
-        take_flag_value(&mut args, "--workers").map_or(4, |v| parse_or_exit("--workers", v));
+        take_flag_value(&mut args, "--workers").map_or(4, |v| parse_or_exit("--workers", &v));
     let threads: usize = take_flag_value(&mut args, "--threads")
-        .map_or_else(tet_par::default_threads, |v| parse_or_exit("--threads", v));
+        .map_or_else(tet_par::default_threads, |v| parse_or_exit("--threads", &v));
     let out = take_flag_value(&mut args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
     if let Some(stray) = args.first() {
         eprintln!("serve_load: unknown argument {stray:?}");

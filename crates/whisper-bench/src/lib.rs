@@ -95,8 +95,7 @@ impl Table {
 /// every simulated run is verified against the `tet-check` reference
 /// interpreter. Equivalent to running with `TET_CHECK=1`.
 pub fn check_from_args(args: &mut Vec<String>) -> bool {
-    let found = args.iter().any(|a| a == "--check");
-    args.retain(|a| a != "--check");
+    let found = take_flag(args, "--check");
     if found {
         tet_check::enable();
         if !tet_obs::quiet() {
@@ -104,6 +103,14 @@ pub fn check_from_args(args: &mut Vec<String>) -> bool {
         }
     }
     found
+}
+
+/// Removes every occurrence of the boolean `flag` from the argument
+/// list; `true` when there was one.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
 }
 
 /// Pops `FLAG VALUE` from the argument list and returns the value, or
@@ -129,6 +136,23 @@ fn pop_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, 
     } else {
         Err(format!("error: {flag} needs a value"))
     }
+}
+
+/// Parses the value given for `flag` (a flag or a positional argument's
+/// name). A malformed value is a usage error: the process prints a
+/// message naming the flag and exits with status 2.
+pub fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    parse_value(flag, value).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// [`parse_or_exit`] without the exit: `Err` names the flag.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("error: bad value {value:?} for {flag}"))
 }
 
 /// Formats a ✓/✗ cell from a success flag (ASCII-safe).
@@ -215,6 +239,31 @@ mod tests {
         let err = pop_flag_value(&mut args, "--band").unwrap_err();
         assert!(err.contains("--band"), "{err}");
         assert_eq!(args, ["rest"]);
+    }
+
+    #[test]
+    fn boolean_flags_are_taken_wherever_they_appear() {
+        let mut args: Vec<String> = ["--gate", "x", "--gate", "--band"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(take_flag(&mut args, "--gate"));
+        assert_eq!(args, ["x", "--band"]);
+        assert!(!take_flag(&mut args, "--gate"));
+        assert_eq!(args, ["x", "--band"]);
+    }
+
+    #[test]
+    fn a_malformed_value_is_an_error_naming_the_flag() {
+        assert_eq!(parse_value::<f64>("--band", "25"), Ok(25.0));
+        assert_eq!(parse_value::<usize>("bits", "128"), Ok(128));
+        for (flag, bad) in [("--band", "2O"), ("bits", "-1"), ("payload_bytes", "")] {
+            let err = parse_value::<usize>(flag, bad).unwrap_err();
+            assert!(
+                err.contains(flag) && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,15 @@
-//! ToTE analysis: histograms, batched argmax decoding, and channel
-//! quality metrics (Figure 1b, §4.1).
+//! ToTE analysis: histograms, batched argmax decoding, channel quality
+//! metrics (Figure 1b, §4.1), and the decode loops every TET attack
+//! shares: the memoized byte sweep, the KASLR slot sweep, the
+//! byte-string leak and the vote majority.
 
 use std::collections::BTreeMap;
+
+use tet_os::layout::NUM_SLOTS;
+use tet_uarch::Machine;
+
+use crate::attacks::{LeakReport, LeakedByte};
+use crate::batch::ProbeMemo;
 
 /// Which extreme of the ToTE distribution marks the secret match.
 ///
@@ -219,6 +227,88 @@ impl ArgmaxDecoder {
             reduced,
         }
     }
+
+    /// The byte sweep of every TET byte attack: [`ArgmaxDecoder::decode`]
+    /// with each probe `measure(machine, test) -> Option<(ToTE, cycles)>`
+    /// run through `memo`, which replays proven-fixed probes instead of
+    /// simulating them. `prelude` runs before every probe, replayed
+    /// ones included (TET-ZBL's victim touch must keep the hierarchy
+    /// and its jitter stream moving exactly as live; `|_| {}` for
+    /// none). Returns the outcome and the summed cycles of the
+    /// completed probes. The memo is the caller's, so one sweep's
+    /// fixed point can carry into the next.
+    pub(crate) fn decode_memoized(
+        &self,
+        memo: &mut ProbeMemo<Option<(u64, u64)>>,
+        machine: &mut Machine,
+        mut prelude: impl FnMut(&mut Machine),
+        mut measure: impl FnMut(&mut Machine, u64) -> Option<(u64, u64)>,
+    ) -> (DecodeOutcome, u64) {
+        let mut cycles = 0u64;
+        let out = self.decode(|test, _| {
+            prelude(machine);
+            let (tote, c) = memo.probe(machine, test as u64, |m| measure(m, test as u64))?;
+            cycles += c;
+            Some(tote)
+        });
+        (out, cycles)
+    }
+}
+
+/// The KASLR slot sweep (§4.5): for each of the 512 candidate slots,
+/// `samples` times flush the TLBs and run `measure(machine, slot) ->
+/// Option<(ToTE, cycles)>`. A slot's ToTE is the minimum over its
+/// completed samples (`0` when none completed); probes and cycles count
+/// completed samples only. Returns `(slot_totes, probes, cycles)`.
+pub(crate) fn slot_sweep(
+    machine: &mut Machine,
+    samples: u32,
+    mut measure: impl FnMut(&mut Machine, u64) -> Option<(u64, u64)>,
+) -> (Vec<u64>, u64, u64) {
+    let mut slot_totes = Vec::with_capacity(NUM_SLOTS as usize);
+    let (mut probes, mut cycles) = (0u64, 0u64);
+    for slot in 0..NUM_SLOTS {
+        let mut best = u64::MAX;
+        for _ in 0..samples {
+            machine.flush_tlbs();
+            if let Some((tote, c)) = measure(machine, slot) {
+                best = best.min(tote);
+                cycles += c;
+                probes += 1;
+            }
+        }
+        slot_totes.push(if best == u64::MAX { 0 } else { best });
+    }
+    (slot_totes, probes, cycles)
+}
+
+/// The byte-string leak: `leak_byte(i)` for `i` in `0..len`, collected
+/// into a [`LeakReport`] of the decoded values and their summed cycles.
+pub(crate) fn leak_bytes(
+    len: usize,
+    freq_ghz: f64,
+    mut leak_byte: impl FnMut(u64) -> LeakedByte,
+) -> LeakReport {
+    let mut recovered = Vec::with_capacity(len);
+    let mut cycles = 0u64;
+    for i in 0..len as u64 {
+        let b = leak_byte(i);
+        recovered.push(b.value);
+        cycles += b.cycles;
+    }
+    LeakReport::new(recovered, cycles, freq_ghz)
+}
+
+/// The candidate with the most votes. On a tie the **last** maximum
+/// wins (`max_by_key`'s rule) — unlike [`ArgmaxDecoder`], whose ToTE
+/// ties resolve to the lowest test value.
+pub(crate) fn vote_majority(votes: &[u32]) -> u8 {
+    votes
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, v)| *v)
+        .map(|(i, _)| i as u8)
+        .unwrap_or(0)
 }
 
 /// Fraction of positions where `received` differs from `sent`
@@ -428,6 +518,27 @@ mod tests {
         };
         let min = ArgmaxDecoder::new(2, Polarity::MinWins).decode(|t, _| dipped(t));
         assert_eq!(min.value, 0x10, "MinWins tie must resolve low");
+    }
+
+    #[test]
+    fn vote_majority_breaks_ties_toward_the_last_maximum() {
+        let mut votes = vec![0u32; 256];
+        votes[0x10] = 2;
+        votes[0xa0] = 2;
+        votes[0x30] = 1;
+        assert_eq!(vote_majority(&votes), 0xa0, "the last maximum wins");
+        // The decoder resolves the same tie the other way.
+        let tied = |test: u8| {
+            Some(if test == 0x10 || test == 0xa0 {
+                130
+            } else {
+                100
+            })
+        };
+        let max = ArgmaxDecoder::new(1, Polarity::MaxWins).decode(|t, _| tied(t));
+        assert_eq!(max.value, 0x10);
+        assert_eq!(vote_majority(&[0; 4]), 3, "all-zero votes tie too");
+        assert_eq!(vote_majority(&[]), 0);
     }
 
     #[test]

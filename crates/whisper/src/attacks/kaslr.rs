@@ -15,10 +15,11 @@
 //!   leaves are *retried like unmapped pages* on the faulting-load path,
 //!   so the TET probe still isolates the real image.
 
-use tet_os::layout::{slot_base, KPTI_TRAMPOLINE_OFFSET, NUM_SLOTS, SLOT_SIZE};
+use tet_os::layout::{slot_base, KPTI_TRAMPOLINE_OFFSET, SLOT_SIZE};
 use tet_os::Kernel;
 use tet_uarch::Machine;
 
+use crate::analysis::slot_sweep;
 use crate::gadget::{TetGadget, TetGadgetSpec};
 
 /// The outcome of a KASLR break attempt.
@@ -62,47 +63,42 @@ impl Default for TetKaslr {
     }
 }
 
+impl KaslrBreak {
+    /// The outcome of a [`slot_sweep`]: `found_base` is the attack's
+    /// classification, `kernel` the ground truth for `success`.
+    pub(crate) fn new(
+        found_base: Option<u64>,
+        kernel: &Kernel,
+        (slot_totes, probes, cycles): (Vec<u64>, u64, u64),
+        freq_ghz: f64,
+    ) -> KaslrBreak {
+        KaslrBreak {
+            found_base,
+            success: found_base == Some(kernel.base),
+            probes,
+            cycles,
+            seconds: cycles as f64 / (freq_ghz * 1e9),
+            slot_totes,
+        }
+    }
+}
+
 impl TetKaslr {
     /// Probes all 512 candidate slots and recovers the kernel base.
     ///
     /// `kernel` supplies the ground truth for the `success` field only;
     /// the probe sequence never reads it.
     pub fn break_kaslr(&self, machine: &mut Machine, kernel: &Kernel) -> KaslrBreak {
-        let freq = machine.config().freq_ghz;
-        let mut slot_totes = Vec::with_capacity(NUM_SLOTS as usize);
-        let mut cycles = 0u64;
-        let mut probes = 0u64;
-
         // Warm the probe gadget's code path once (slot 0) so per-slot
         // measurements are not skewed by cold frontend structures.
         let warm = TetGadget::build(TetGadgetSpec::kaslr_probe(slot_base(0)));
         warm.measure(machine, 0);
 
-        for slot in 0..NUM_SLOTS {
-            let candidate = slot_base(slot);
-            let gadget = TetGadget::build(TetGadgetSpec::kaslr_probe(candidate));
-            let mut best = u64::MAX;
-            for _ in 0..self.samples_per_slot {
-                machine.flush_tlbs();
-                if let Some((tote, c)) = gadget.measure_detailed(machine, 0) {
-                    best = best.min(tote);
-                    cycles += c;
-                    probes += 1;
-                }
-            }
-            slot_totes.push(if best == u64::MAX { 0 } else { best });
-        }
-
-        let found_base = self.classify(&slot_totes);
-        let success = found_base == Some(kernel.base);
-        KaslrBreak {
-            found_base,
-            success,
-            probes,
-            cycles,
-            seconds: cycles as f64 / (freq * 1e9),
-            slot_totes,
-        }
+        let sweep = slot_sweep(machine, self.samples_per_slot, |m, slot| {
+            TetGadget::build(TetGadgetSpec::kaslr_probe(slot_base(slot))).measure_detailed(m, 0)
+        });
+        let found_base = self.classify(&sweep.0);
+        KaslrBreak::new(found_base, kernel, sweep, machine.config().freq_ghz)
     }
 
     /// Classifies the sweep: mapped slots are the cluster measurably

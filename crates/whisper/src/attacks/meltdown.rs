@@ -8,7 +8,7 @@
 
 use tet_uarch::Machine;
 
-use crate::analysis::{ArgmaxDecoder, Polarity};
+use crate::analysis::{leak_bytes, vote_majority, ArgmaxDecoder, Polarity};
 use crate::attacks::{LeakReport, LeakedByte};
 use crate::batch::ProbeMemo;
 use crate::gadget::{TetGadget, TetGadgetSpec};
@@ -43,15 +43,12 @@ impl TetMeltdown {
         // The hint must be read *after* warm-up: forwarding predicts
         // the secret byte only once its line is cache resident.
         let mut memo = ProbeMemo::new(machine, gadget.match_hint(machine));
-        let mut cycles = 0u64;
-        let decoder = ArgmaxDecoder::new(self.batches, Polarity::MaxWins);
-        let out = decoder.decode(|test, _| {
-            let (tote, c) = memo.probe(machine, test as u64, |m| {
-                gadget.measure_detailed(m, test as u64)
-            })?;
-            cycles += c;
-            Some(tote)
-        });
+        let (out, cycles) = ArgmaxDecoder::new(self.batches, Polarity::MaxWins).decode_memoized(
+            &mut memo,
+            machine,
+            |_| {},
+            |m, test| gadget.measure_detailed(m, test),
+        );
         LeakedByte {
             value: out.value,
             votes: out.votes,
@@ -75,30 +72,24 @@ impl TetMeltdown {
             gadget.measure(machine, 0);
         }
         let mut memo = ProbeMemo::new(machine, gadget.match_hint(machine));
+        let decoder = ArgmaxDecoder::new(1, Polarity::MaxWins);
         let mut cycles = 0u64;
         let mut votes = vec![0u32; 256];
         for _batch in 0..self.batches.max(confidence) {
-            let decoder = ArgmaxDecoder::new(1, Polarity::MaxWins);
-            let out = decoder.decode(|test, _| {
-                let (tote, c) = memo.probe(machine, test as u64, |m| {
-                    gadget.measure_detailed(m, test as u64)
-                })?;
-                cycles += c;
-                Some(tote)
-            });
+            let (out, c) = decoder.decode_memoized(
+                &mut memo,
+                machine,
+                |_| {},
+                |m, test| gadget.measure_detailed(m, test),
+            );
+            cycles += c;
             votes[out.value as usize] += 1;
             if votes[out.value as usize] >= confidence {
                 break;
             }
         }
-        let value = votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, v)| *v)
-            .map(|(i, _)| i as u8)
-            .unwrap_or(0);
         LeakedByte {
-            value,
+            value: vote_majority(&votes),
             votes,
             cycles,
         }
@@ -106,15 +97,9 @@ impl TetMeltdown {
 
     /// Leaks `len` consecutive kernel bytes starting at `addr`.
     pub fn leak(&self, machine: &mut Machine, addr: u64, len: usize) -> LeakReport {
-        let freq = machine.config().freq_ghz;
-        let mut recovered = Vec::with_capacity(len);
-        let mut cycles = 0u64;
-        for i in 0..len {
-            let b = self.leak_byte(machine, addr + i as u64);
-            recovered.push(b.value);
-            cycles += b.cycles;
-        }
-        LeakReport::new(recovered, cycles, freq)
+        leak_bytes(len, machine.config().freq_ghz, |i| {
+            self.leak_byte(machine, addr + i)
+        })
     }
 }
 

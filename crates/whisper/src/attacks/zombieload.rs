@@ -7,11 +7,11 @@
 //! value. Contrary to TET-MD, ToTE becomes **shorter** when the Jcc
 //! triggers, so the decoder takes the arg*min*.
 
-use crate::analysis::{ArgmaxDecoder, Polarity};
+use crate::analysis::{leak_bytes, ArgmaxDecoder, Polarity};
 use crate::attacks::{LeakReport, LeakedByte};
 use crate::batch::ProbeMemo;
 use crate::gadget::{TetGadget, TetGadgetSpec};
-use crate::scenario::{Scenario, VICTIM_PAGE};
+use crate::scenario::{touch_victim, Scenario, VICTIM_PAGE};
 
 /// An unmapped attacker address whose faulting loads trigger the assist.
 /// The line offset of the probe selects which stale byte is sampled.
@@ -56,16 +56,12 @@ impl TetZombieload {
             0
         };
         let mut memo = ProbeMemo::new(&sc.machine, Some(hint));
-        let mut cycles = 0u64;
-        let decoder = ArgmaxDecoder::new(self.batches, Polarity::MinWins);
-        let out = decoder.decode(|test, _| {
-            sc.victim_touch(offset);
-            let (tote, c) = memo.probe(&mut sc.machine, test as u64, |m| {
-                gadget.measure_detailed(m, test as u64)
-            })?;
-            cycles += c;
-            Some(tote)
-        });
+        let (out, cycles) = ArgmaxDecoder::new(self.batches, Polarity::MinWins).decode_memoized(
+            &mut memo,
+            &mut sc.machine,
+            |m| touch_victim(m, offset),
+            |m, test| gadget.measure_detailed(m, test),
+        );
         LeakedByte {
             value: out.value,
             votes: out.votes,
@@ -75,15 +71,9 @@ impl TetZombieload {
 
     /// Samples `len` victim bytes starting at line offset 0.
     pub fn sample(&self, sc: &mut Scenario, len: usize) -> LeakReport {
-        let freq = sc.machine.config().freq_ghz;
-        let mut recovered = Vec::with_capacity(len);
-        let mut cycles = 0u64;
-        for i in 0..len {
-            let b = self.sample_byte(sc, i as u64);
-            recovered.push(b.value);
-            cycles += b.cycles;
-        }
-        LeakReport::new(recovered, cycles, freq)
+        leak_bytes(len, sc.machine.config().freq_ghz, |i| {
+            self.sample_byte(sc, i)
+        })
     }
 }
 

@@ -13,7 +13,7 @@
 use tet_isa::{Addr, Asm, Cond, Inst, Program, Reg};
 use tet_uarch::{CpuConfig, RunConfig, SmtMachine};
 
-use crate::analysis::Polarity;
+use crate::analysis::{vote_majority, ArgmaxDecoder, Polarity};
 use crate::attacks::LeakedByte;
 
 /// Unmapped attacker address whose faulting load triggers the assist.
@@ -115,7 +115,8 @@ impl SmtZombieload {
 
         let mut votes = vec![0u32; 256];
         let mut cycles = 0u64;
-        for sweep in 0..self.sweeps {
+        let decoder = ArgmaxDecoder::new(1, Polarity::MinWins);
+        for _ in 0..self.sweeps {
             let r = smt.run(
                 &victim,
                 &attacker,
@@ -127,36 +128,20 @@ impl SmtZombieload {
                 },
             );
             cycles += r.t1.cycles;
-            let _ = sweep;
             // Decode this sweep's results array (MinWins: the triggered
-            // Jcc shortens ToTE). The array is contiguous in one page.
+            // Jcc shortens ToTE; 0 marks a test value never timed). The
+            // array is contiguous in one page.
             let results_pa = pa_of(&smt, RESULTS_BASE);
-            let mut best: Option<(u64, usize)> = None;
-            for test in 0..256u64 {
-                let t = smt.phys_mut().read_u64(results_pa + test * 8);
-                if t == 0 {
-                    continue;
-                }
-                let better = match (best, Polarity::MinWins) {
-                    (None, _) => true,
-                    (Some((b, _)), _) => t < b,
-                };
-                if better {
-                    best = Some((t, test as usize));
-                }
-            }
-            if let Some((_, winner)) = best {
-                votes[winner] += 1;
+            let out = decoder.decode(|test, _| {
+                let t = smt.phys_mut().read_u64(results_pa + test as u64 * 8);
+                (t != 0).then_some(t)
+            });
+            if out.valid_batches > 0 {
+                votes[out.value as usize] += 1;
             }
         }
-        let value = votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, v)| *v)
-            .map(|(i, _)| i as u8)
-            .unwrap_or(0);
         LeakedByte {
-            value,
+            value: vote_majority(&votes),
             votes,
             cycles,
         }

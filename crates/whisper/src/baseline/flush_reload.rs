@@ -10,6 +10,7 @@
 use tet_isa::{Asm, Reg};
 use tet_uarch::{Machine, RunConfig, RunExit};
 
+use crate::analysis::leak_bytes;
 use crate::attacks::{LeakReport, LeakedByte};
 
 /// Base virtual address of the 256-page probe array.
@@ -130,15 +131,9 @@ impl FlushReloadMeltdown {
 
     /// Leaks `len` consecutive kernel bytes.
     pub fn leak(&self, machine: &mut Machine, addr: u64, len: usize) -> LeakReport {
-        let freq = machine.config().freq_ghz;
-        let mut recovered = Vec::with_capacity(len);
-        let mut cycles = 0u64;
-        for i in 0..len {
-            let b = self.leak_byte(machine, addr + i as u64);
-            recovered.push(b.value);
-            cycles += b.cycles;
-        }
-        LeakReport::new(recovered, cycles, freq)
+        leak_bytes(len, machine.config().freq_ghz, |i| {
+            self.leak_byte(machine, addr + i)
+        })
     }
 }
 

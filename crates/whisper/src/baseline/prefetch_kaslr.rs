@@ -1,10 +1,11 @@
 //! KASLR probing baselines: the classic prefetch (walk-depth) probe that
 //! FLARE defeats, and the EntryBleed syscall+prefetch probe.
 
-use tet_os::layout::{slot_base, KPTI_TRAMPOLINE_OFFSET, NUM_SLOTS, SLOT_SIZE};
+use tet_os::layout::{slot_base, KPTI_TRAMPOLINE_OFFSET, SLOT_SIZE};
 use tet_os::Kernel;
 use tet_uarch::Machine;
 
+use crate::analysis::slot_sweep;
 use crate::attacks::KaslrBreak;
 use crate::gadget::PrefetchProbe;
 
@@ -28,33 +29,15 @@ impl Default for PrefetchKaslr {
 impl PrefetchKaslr {
     /// Sweeps all slots with prefetch probes.
     pub fn break_kaslr(&self, machine: &mut Machine, kernel: &Kernel) -> KaslrBreak {
-        let freq = machine.config().freq_ghz;
-        let mut slot_totes = Vec::with_capacity(NUM_SLOTS as usize);
-        let mut cycles = 0u64;
-        let mut probes = 0u64;
         // Warm the probe's code path so slot 0 is not a cold-frontend
         // outlier.
-        let warm = PrefetchProbe::build(slot_base(0), false);
-        let _ = machine.run(&warm.program, &tet_uarch::RunConfig::default());
-        for slot in 0..NUM_SLOTS {
-            let probe = PrefetchProbe::build(slot_base(slot), false);
-            machine.flush_tlbs();
-            let r = machine.run(&probe.program, &tet_uarch::RunConfig::default());
-            cycles += r.cycles;
-            probes += 1;
-            slot_totes.push(r.regs.get(tet_isa::Reg::Rax));
-        }
-
+        PrefetchProbe::build(slot_base(0), false).measure(machine);
+        let sweep = slot_sweep(machine, 1, |m, slot| {
+            PrefetchProbe::build(slot_base(slot), false).measure_detailed(m)
+        });
         // Mapped slots complete the deepest walks: the *high* cluster.
-        let found_base = classify_extreme(&slot_totes, self.min_gap, true);
-        KaslrBreak {
-            success: found_base == Some(kernel.base),
-            found_base,
-            probes,
-            cycles,
-            seconds: cycles as f64 / (freq * 1e9),
-            slot_totes,
-        }
+        let found_base = classify_extreme(&sweep.0, self.min_gap, true);
+        KaslrBreak::new(found_base, kernel, sweep, machine.config().freq_ghz)
     }
 }
 
@@ -76,37 +59,19 @@ impl Default for EntryBleedProbe {
 impl EntryBleedProbe {
     /// Sweeps all trampoline candidates with syscall+prefetch probes.
     pub fn break_kaslr(&self, machine: &mut Machine, kernel: &Kernel) -> KaslrBreak {
-        let freq = machine.config().freq_ghz;
-        let mut slot_totes = Vec::with_capacity(NUM_SLOTS as usize);
-        let mut cycles = 0u64;
-        let mut probes = 0u64;
-        let warm = PrefetchProbe::build(slot_base(0), true);
-        let _ = machine.run(&warm.program, &tet_uarch::RunConfig::default());
-        for slot in 0..NUM_SLOTS {
-            let probe = PrefetchProbe::build(slot_base(slot), true);
-            machine.flush_tlbs();
-            let r = machine.run(&probe.program, &tet_uarch::RunConfig::default());
-            cycles += r.cycles;
-            probes += 1;
-            slot_totes.push(r.regs.get(tet_isa::Reg::Rax));
-        }
-
+        PrefetchProbe::build(slot_base(0), true).measure(machine);
+        let sweep = slot_sweep(machine, 1, |m, slot| {
+            PrefetchProbe::build(slot_base(slot), true).measure_detailed(m)
+        });
         // The trampoline hit is the *low* (TLB-warm) outlier; the base is
         // the fixed offset below it.
-        let found = classify_extreme(&slot_totes, self.min_gap, false);
+        let found = classify_extreme(&sweep.0, self.min_gap, false);
         let found_base = found.and_then(|hit| {
             let offset_slots = KPTI_TRAMPOLINE_OFFSET / SLOT_SIZE;
             let slot = (hit - slot_base(0)) / SLOT_SIZE;
             (slot >= offset_slots).then(|| hit - KPTI_TRAMPOLINE_OFFSET)
         });
-        KaslrBreak {
-            success: found_base == Some(kernel.base),
-            found_base,
-            probes,
-            cycles,
-            seconds: cycles as f64 / (freq * 1e9),
-            slot_totes,
-        }
+        KaslrBreak::new(found_base, kernel, sweep, machine.config().freq_ghz)
     }
 }
 

@@ -243,10 +243,9 @@ enum MemoState<R> {
 }
 
 /// The per-sweep memoizer. Create one per decode loop (after warm-up),
-/// with the gadget's match hint; wrap each probe in
-/// [`ProbeMemo::probe`] — or [`ProbeMemo::try_skip`] /
-/// [`ProbeMemo::record`] when the live probe needs more context than a
-/// `&mut Machine` closure can carry.
+/// with the gadget's match hint, and run each probe through
+/// [`ProbeMemo::probe`] — the attacks do so via
+/// [`ArgmaxDecoder::decode_memoized`](crate::analysis::ArgmaxDecoder).
 #[derive(Debug)]
 pub struct ProbeMemo<R> {
     state: MemoState<R>,
@@ -292,16 +291,6 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
         }
     }
 
-    /// The memo's state name, for diagnostics.
-    pub fn state_name(&self) -> &'static str {
-        match &self.state {
-            MemoState::Empty => "empty",
-            MemoState::Candidate(_) => "candidate",
-            MemoState::Fixed(_) => "fixed",
-            MemoState::Poisoned => "poisoned",
-        }
-    }
-
     /// The established fixed record, if any — for seeding sibling
     /// trials of the same sweep.
     pub fn fixed(&self) -> Option<&FixedRec<R>> {
@@ -330,10 +319,8 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
 
     /// Replays the probe for `test` if it is proven fixed: applies the
     /// recorded counter movement to `machine` and returns the recorded
-    /// result. Returns `None` when the probe must run live — then take
-    /// a [`tet_uarch::Machine::delta_marker`], run it, and call
-    /// [`ProbeMemo::record`].
-    pub fn try_skip(&mut self, machine: &mut Machine, test: u64) -> Option<R> {
+    /// result. Returns `None` when the probe must run live.
+    fn try_skip(&mut self, machine: &mut Machine, test: u64) -> Option<R> {
         if !self.enabled || self.diverged || self.hint == Some(test) {
             return None;
         }
@@ -368,7 +355,7 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
 
     /// Feeds a live probe's observation back into the memo. `marker`
     /// must have been taken immediately before the probe ran.
-    pub fn record(&mut self, machine: &Machine, marker: &DeltaMarker, test: u64, result: &R) {
+    fn record(&mut self, machine: &Machine, marker: &DeltaMarker, test: u64, result: &R) {
         if !self.enabled {
             return;
         }

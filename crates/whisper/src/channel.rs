@@ -7,7 +7,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::analysis::{bytes_per_second, error_rate, ArgmaxDecoder, Polarity};
+use crate::analysis::{bytes_per_second, error_rate, vote_majority, ArgmaxDecoder, Polarity};
 use crate::batch::{FixedRec, ProbeMemo};
 use crate::gadget::{TetGadget, TetGadgetSpec};
 use crate::scenario::{Scenario, SHARED_PAGE};
@@ -90,15 +90,13 @@ impl TetCovertChannel {
         // test value that takes the in-window branch; proven-fixed
         // non-matching probes replay instead of simulating.
         let mut memo = ProbeMemo::new(&sc.machine, gadget.match_hint(&sc.machine));
-        let decoder = ArgmaxDecoder::new(self.batches, Polarity::MaxWins);
-        let out = decoder.decode(|test, _| {
-            let (tote, c) = memo.probe(&mut sc.machine, test as u64, |m| {
-                gadget.measure_detailed(m, test as u64)
-            })?;
-            cycles += c;
-            Some(tote)
-        });
-        (out.value, cycles)
+        let (out, c) = ArgmaxDecoder::new(self.batches, Polarity::MaxWins).decode_memoized(
+            &mut memo,
+            &mut sc.machine,
+            |_| {},
+            |m, test| gadget.measure_detailed(m, test),
+        );
+        (out.value, cycles + c)
     }
 
     /// Transmits `payload` through the channel and reports quality;
@@ -158,13 +156,12 @@ impl TetCovertChannel {
                 // The hint is this trial's own payload byte (read back
                 // through the forwarding oracle, after the write above).
                 let mut memo = ProbeMemo::seeded(m, gadget.match_hint(m), fixed.get().cloned());
-                let mut cyc = 0u64;
-                let out = decoder.decode(|test, _| {
-                    let (tote, c) =
-                        memo.probe(m, test as u64, |m| gadget.measure_detailed(m, test as u64))?;
-                    cyc += c;
-                    Some(tote)
-                });
+                let (out, cyc) = decoder.decode_memoized(
+                    &mut memo,
+                    m,
+                    |_| {},
+                    |m, test| gadget.measure_detailed(m, test),
+                );
                 if let Some(rec) = memo.fixed() {
                     let _ = fixed.set(rec.clone());
                 }
@@ -205,13 +202,7 @@ impl TetCovertChannel {
                 counts[got as usize] += 1;
                 cycles += c;
             }
-            let winner = counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, c)| *c)
-                .map(|(v, _)| v as u8)
-                .unwrap_or(0);
-            received.push(winner);
+            received.push(vote_majority(&counts));
         }
         ChannelReport::new(payload, received, cycles, freq)
     }

@@ -394,9 +394,14 @@ impl PrefetchProbe {
 
     /// Measures the prefetch latency.
     pub fn measure(&self, machine: &mut Machine) -> Option<u64> {
+        self.measure_detailed(machine).map(|(lat, _)| lat)
+    }
+
+    /// Like [`PrefetchProbe::measure`], also returning total run cycles.
+    pub fn measure_detailed(&self, machine: &mut Machine) -> Option<(u64, u64)> {
         let r = machine.run(&self.program, &RunConfig::default());
         match r.exit {
-            RunExit::Halted => Some(r.regs.get(Reg::Rax)),
+            RunExit::Halted => Some((r.regs.get(Reg::Rax), r.cycles)),
             _ => None,
         }
     }

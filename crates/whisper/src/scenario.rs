@@ -89,9 +89,7 @@ impl Scenario {
                 flare: opts.flare,
                 ..KernelConfig::default()
             };
-            // Split borrows: install needs the address space only.
-            let kernel = Kernel::install(&kcfg, machine_aspace(&mut machine), &mut frames);
-            kernel
+            Kernel::install(&kcfg, machine.aspace_mut(), &mut frames)
         };
 
         // Plant the kernel secret (possible even under KPTI: the secret
@@ -138,16 +136,7 @@ impl Scenario {
     /// victim page so its data transits the shared line fill buffer
     /// (the TET-ZBL priming step).
     pub fn victim_touch(&mut self, offset: u64) {
-        let pa = self
-            .machine
-            .aspace()
-            .translate(VICTIM_PAGE + offset)
-            .expect("victim page is mapped");
-        // The victim's demand load: route it through the hierarchy so the
-        // line (with its data) lands in the LFB.
-        let (mem, phys) = self.machine.mem_and_phys_mut();
-        mem.clflush(pa);
-        mem.data_load(pa, phys);
+        touch_victim(&mut self.machine, offset);
     }
 
     /// Plants a byte in the victim page.
@@ -171,8 +160,17 @@ impl Scenario {
     }
 }
 
-fn machine_aspace(machine: &mut Machine) -> &mut tet_mem::AddressSpace {
-    machine.aspace_mut()
+/// [`Scenario::victim_touch`] on the scenario's machine alone.
+pub(crate) fn touch_victim(machine: &mut Machine, offset: u64) {
+    let pa = machine
+        .aspace()
+        .translate(VICTIM_PAGE + offset)
+        .expect("victim page is mapped");
+    // The victim's demand load: route it through the hierarchy so the
+    // line (with its data) lands in the LFB.
+    let (mem, phys) = machine.mem_and_phys_mut();
+    mem.clflush(pa);
+    mem.data_load(pa, phys);
 }
 
 #[cfg(test)]
